@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-smoke gen-smoke chaos serve-smoke restart-smoke docs-check ci all
+.PHONY: build test vet fmt-check race bench bench-smoke gen-smoke chaos serve-smoke restart-smoke docs-check ci all
 
 all: ci
 
@@ -15,6 +15,13 @@ test:
 ## vet: run go vet over every package.
 vet:
 	$(GO) vet ./...
+
+## fmt-check: fail when any Go source is not gofmt-formatted or gofmt
+## cannot parse it (the staged benchmark inputs under .perfbench/ are
+## not sources).
+fmt-check:
+	@out=$$(gofmt -l *.go cmd examples internal perfbench) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 ## race: run the concurrency-sensitive packages under the race detector,
 ## including the parallel-runner determinism test over the full corpus.
@@ -81,4 +88,4 @@ docs-check:
 	sh scripts/docs_check.sh
 
 ## ci: the local gate — everything the driver checks, in one target.
-ci: build test vet chaos serve-smoke restart-smoke bench-smoke gen-smoke docs-check
+ci: build fmt-check test vet chaos serve-smoke restart-smoke bench-smoke gen-smoke docs-check

@@ -28,7 +28,8 @@
 // consumption; every job event carries job_id/tenant/trace_id — the
 // event catalog is in docs/OBSERVABILITY.md), and each completed job's
 // span tree is retained in a -trace-ring-bounded ring served at
-// GET /v1/jobs/{id}/trace.
+// GET /v1/jobs/{id}/trace; the same bound caps how many finished jobs
+// GET /v1/jobs/{id} still serves.
 //
 // The daemon prints its bound address on startup ("-addr :0" picks a
 // free port) and drains gracefully on SIGTERM/SIGINT: accepted jobs run
@@ -77,7 +78,7 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "expose the Go runtime profiler under /debug/pprof/ (see docs/PERFORMANCE.md)")
 	logFormat := flag.String("log-format", "text", "structured log encoding on stderr: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-	traceRing := flag.Int("trace-ring", 0, "completed job traces to retain for GET /v1/jobs/{id}/trace (0 = default)")
+	traceRing := flag.Int("trace-ring", 0, "completed job traces, and finished jobs, to retain for GET /v1/jobs/{id}/trace and GET /v1/jobs/{id} (0 = default)")
 	showVersion := flag.Bool("version", false, "print the wasabi version and exit")
 	flag.Parse()
 

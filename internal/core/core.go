@@ -123,10 +123,10 @@ func New(opts Options) *Wasabi {
 	// The oracle and the LLM client report into the same registry.
 	opts.Oracle.Metrics = opts.Obs.Reg()
 	w := &Wasabi{
-		opts:        opts,
-		llm:         llm.NewClient(opts.LLM).Instrument(opts.Obs.Reg()),
-		obs:         opts.Obs,
-		cache:       opts.Cache,
+		opts:  opts,
+		llm:   llm.NewClient(opts.LLM).Instrument(opts.Obs.Reg()),
+		obs:   opts.Obs,
+		cache: opts.Cache,
 		// Multi-backend runs are excluded like fault-profile runs: their
 		// admissions (failover, hedging, singleflight) are arrival-order
 		// facts that per-file memoization cannot reproduce.

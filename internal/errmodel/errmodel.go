@@ -65,20 +65,32 @@ func (e *Exception) Unwrap() error { return e.Cause }
 // registered on first use as direct subclasses of "Exception". The
 // creation site (the caller's function) is recorded for crash grouping.
 func New(class, msg string) *Exception {
-	defaultHierarchy.ensure(class)
-	return &Exception{Class: class, Msg: msg, Site: trace.CallerFunc(1)}
+	return NewAt(class, trace.CallerFunc(1), msg)
 }
 
 // Newf constructs an exception with a formatted message.
 func Newf(class, format string, args ...any) *Exception {
-	defaultHierarchy.ensure(class)
-	return &Exception{Class: class, Msg: fmt.Sprintf(format, args...), Site: trace.CallerFunc(1)}
+	return NewAt(class, trace.CallerFunc(1), fmt.Sprintf(format, args...))
 }
 
 // Wrap constructs an exception of the given class that wraps cause.
 func Wrap(class, msg string, cause error) *Exception {
+	return WrapAt(class, trace.CallerFunc(1), msg, cause)
+}
+
+// NewAt constructs an exception whose creation site is given rather
+// than recovered from the stack — for constructors whose site is a
+// constant (the fault injector) or is declared by an interpreter
+// (generated corpora), so the walk New would make is pure cost.
+func NewAt(class, site, msg string) *Exception {
 	defaultHierarchy.ensure(class)
-	return &Exception{Class: class, Msg: msg, Cause: cause, Site: trace.CallerFunc(1)}
+	return &Exception{Class: class, Msg: msg, Site: site}
+}
+
+// WrapAt is Wrap with an explicit creation site, as NewAt is to New.
+func WrapAt(class, site, msg string, cause error) *Exception {
+	defaultHierarchy.ensure(class)
+	return &Exception{Class: class, Msg: msg, Cause: cause, Site: site}
 }
 
 // ClassOf returns the exception class of err, or "" if err is not an

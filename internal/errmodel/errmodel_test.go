@@ -204,3 +204,28 @@ func TestWrapChainStopsAtPlainError(t *testing.T) {
 		t.Errorf("plain error should be truncated to first token: %q", chain[1])
 	}
 }
+
+func TestExplicitSiteConstructors(t *testing.T) {
+	const here = "errmodel.TestExplicitSiteConstructors"
+	cause := New("AccessControlException", "denied")
+	for name, e := range map[string]*Exception{
+		"New":  cause,
+		"Newf": Newf("SocketException", "port %d", 1),
+		"Wrap": Wrap("HadoopException", "wrapped", cause),
+	} {
+		if e.Site != here {
+			t.Errorf("%s Site = %q, want the calling function %s", name, e.Site, here)
+		}
+	}
+	e := NewAt("ZoneSyncException", "gen001.Syncer.Run", "out of sync")
+	if e.Site != "gen001.Syncer.Run" || e.Class != "ZoneSyncException" || e.Msg != "out of sync" {
+		t.Errorf("NewAt = %+v", e)
+	}
+	if !IsClass(e, "Exception") {
+		t.Error("NewAt must register the class")
+	}
+	w := WrapAt("HadoopException", "gen001.Syncer.Run", "giving up", cause)
+	if w.Site != "gen001.Syncer.Run" || w.Cause != cause || !CauseIsClass(w, "AccessControlException") {
+		t.Errorf("WrapAt = %+v", w)
+	}
+}

@@ -14,6 +14,11 @@
 //     thrown fewer than K times, and logs the injection; after K throws the
 //     fault "heals" and application code proceeds, mirroring Listing 5.
 //
+// Attribution is cheap enough to run on every retried-method entry: the
+// stack walk is one unwind with each frame's name memoised per program
+// counter (trace.Callers), and injected exceptions carry a constant
+// creation site rather than walking the stack again.
+//
 // Every test execution owns a fresh Injector attached to its context, and
 // an Injector's internal maps are mutex-protected, so concurrent test runs
 // (the parallel plan executor in internal/core) and concurrent goroutines
@@ -23,6 +28,7 @@ package fault
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"wasabi/internal/errmodel"
@@ -167,6 +173,9 @@ const callerWindow = 5
 //
 // The returned error, when non-nil, is an *errmodel.Exception with
 // Injected=true of the class the active rule prescribes.
+//
+// Walking the caller window only once a rule or watch covers the callee
+// measured no gain: nearly every hook arrival is armed or watched.
 func Hook(ctx context.Context) error {
 	in := From(ctx)
 	if in == nil {
@@ -255,7 +264,8 @@ func (in *Injector) arrive(ctx context.Context, callee string, callers []string)
 					Count:     n,
 				})
 			}
-			exc := errmodel.Newf(loc.Exception, "injected at %s invoked from %s (throw %d)", callee, loc.Coordinator, n)
+			exc := errmodel.NewAt(loc.Exception, injectSite,
+				fmt.Sprintf("injected at %s invoked from %s (throw %d)", callee, loc.Coordinator, n))
 			exc.Injected = true
 			return exc
 		}
@@ -275,6 +285,11 @@ func (in *Injector) arrive(ctx context.Context, callee string, callers []string)
 	}
 	return nil
 }
+
+// injectSite is the Site of every injected exception: the function that
+// constructs it. It is a constant, so arrive names it instead of walking
+// the stack for it.
+const injectSite = "fault.Injector.arrive"
 
 // stackMatches reports whether coordinator appears in the caller frames.
 func stackMatches(callers []string, coordinator string) bool {

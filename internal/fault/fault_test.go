@@ -313,3 +313,29 @@ func TestInjectedErrorIsMarked(t *testing.T) {
 		t.Errorf("class = %q", exc.Class)
 	}
 }
+
+// TestInjectedExceptionSite pins the Site of injected exceptions to the
+// constructor the stack walk used to report, through both Hook and
+// HookAt: crash grouping by site must not move when arrive names it.
+func TestInjectedExceptionSite(t *testing.T) {
+	in := NewInjector([]Rule{{
+		Loc: Location{Coordinator: "fault.capturingCoordinator", Retried: "fault.fakeRetried", Exception: "ConnectException"},
+		K:   10,
+	}})
+	ctx, _ := injectCtx(in)
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"Hook", capturingCoordinator(ctx)},
+		{"HookAt", HookAt(ctx, "fault.capturingCoordinator", "fault.fakeRetried")},
+	} {
+		exc, ok := c.err.(*errmodel.Exception)
+		if !ok {
+			t.Fatalf("%s: no injected exception: %#v", c.name, c.err)
+		}
+		if exc.Site != "fault.Injector.arrive" {
+			t.Errorf("%s: Site = %q, want fault.Injector.arrive", c.name, exc.Site)
+		}
+	}
+}

@@ -60,38 +60,53 @@ func RunLoad(base string, opt LoadOptions) (*obs.ServeBench, error) {
 		return nil, err
 	}
 
+	// The first failure cancels the run, so the other tenants stop
+	// instead of waiting out the timeout.
+	var (
+		errMu    sync.Mutex
+		firstErr error
+	)
+	fail := func(err error) {
+		errMu.Lock()
+		defer errMu.Unlock()
+		if firstErr == nil {
+			firstErr = err
+			cancel()
+		}
+	}
+
 	var rejections atomic.Int64
-	errs := make([]error, opt.Tenants)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < opt.Tenants; i++ {
+		tenant := fmt.Sprintf("tenant-%d", i)
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			tenant := fmt.Sprintf("tenant-%d", i)
-			ids := make([]string, 0, opt.Jobs)
 			for n := 0; n < opt.Jobs; n++ {
 				id, err := submitUntilAccepted(ctx, base, tenant, body, &rejections)
 				if err != nil {
-					errs[i] = fmt.Errorf("%s job %d: %w", tenant, n, err)
+					fail(fmt.Errorf("%s job %d: %w", tenant, n, err))
 					return
 				}
-				ids = append(ids, id)
+				// Poll each job from the moment it is accepted, while the
+				// tenant keeps submitting: the daemon keeps only the last
+				// -trace-ring finished jobs, so a job first polled after
+				// the rest were submitted could already be gone.
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := awaitDone(ctx, base, id); err != nil {
+						fail(fmt.Errorf("%s %s: %w", tenant, id, err))
+					}
+				}()
 			}
-			for _, id := range ids {
-				if err := awaitDone(ctx, base, id); err != nil {
-					errs[i] = fmt.Errorf("%s %s: %w", tenant, id, err)
-					return
-				}
-			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 
 	completed := int64(opt.Tenants) * int64(opt.Jobs)
@@ -181,7 +196,8 @@ func submitUntilAccepted(ctx context.Context, base, tenant string, appsBody []by
 	}
 }
 
-// awaitDone polls a job until it reports done (failed is an error).
+// awaitDone polls a job until it reports done; failed, or any status
+// but 200, is an error.
 func awaitDone(ctx context.Context, base, id string) error {
 	for {
 		hr, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/jobs/"+id, nil)
@@ -192,13 +208,21 @@ func awaitDone(ctx context.Context, base, id string) error {
 		if err != nil {
 			return err
 		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			// A 404 here means the job finished and left the daemon's
+			// -trace-ring window before this poll saw it.
+			return fmt.Errorf("poll: status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
+		}
 		var v struct {
 			State string `json:"state"`
 			Error string `json:"error"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&v)
-		resp.Body.Close()
-		if err != nil {
+		if err := json.Unmarshal(data, &v); err != nil {
 			return err
 		}
 		switch v.State {

@@ -124,8 +124,9 @@ type Config struct {
 	// discards.
 	Log *slog.Logger
 	// TraceRing bounds how many completed job traces the daemon retains
-	// for GET /v1/jobs/{id}/trace (oldest evicted first). Zero means
-	// DefaultTraceRing.
+	// for GET /v1/jobs/{id}/trace (oldest evicted first), and how many
+	// finished jobs (with their reports) GET /v1/jobs/{id} still serves.
+	// Zero means DefaultTraceRing.
 	TraceRing int
 	// Corpus, when non-empty, replaces the built-in seed corpus as the
 	// population jobs analyze — cmd/wasabid builds it from a generated
@@ -167,9 +168,12 @@ type Server struct {
 	// started is stamped by Start; server_uptime_seconds derives from it.
 	started time.Time
 
-	mu         sync.Mutex
-	draining   bool
-	nextID     int
+	mu       sync.Mutex
+	draining bool
+	nextID   int
+	// jobs holds every queued and running job plus the finished ones
+	// whose traces the ring still holds, so a long-lived daemon does not
+	// keep every report it ever produced.
 	jobs       map[string]*job
 	appReports map[string][]byte
 }
@@ -398,10 +402,10 @@ func (s *Server) run(j *job) {
 		"fresh_tokens", fmt.Sprintf("%d", fresh.TokensIn))
 	var traceBuf bytes.Buffer
 	tr.WriteJSON(&traceBuf) //nolint:errcheck // bytes.Buffer cannot fail
-	s.traces.put(traceMeta{
+	meta := traceMeta{
 		JobID: j.id, Tenant: j.tenant, TraceID: j.traceID, State: state,
 		Spans: tr.SpanCount(), DurationMS: durMS(end.Sub(j.submitted)),
-	}, traceBuf.Bytes())
+	}
 
 	// Tenant cost attribution. server_tenant_llm_tokens_total counts the
 	// same event as llm_tokens_in_total — a fresh (uncached, undegraded)
@@ -424,6 +428,13 @@ func (s *Server) run(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	reg.Histogram("server_job_ms", obs.LatencyBuckets).Observe(durMS(end.Sub(start)))
+	// Store the trace under s.mu so a job and its trace leave together:
+	// the ring evicts only finished jobs, and the job table drops exactly
+	// those, keeping one shared window of the last -trace-ring finished
+	// jobs.
+	for _, id := range s.traces.put(meta, traceBuf.Bytes()) {
+		delete(s.jobs, id)
+	}
 	if err != nil {
 		j.state, j.err = "failed", err.Error()
 		reg.Counter("server_jobs_total", "status", "failed").Inc()
@@ -597,7 +608,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs[r.PathValue("id")]
 	if !ok {
 		s.mu.Unlock()
-		httpError(w, http.StatusNotFound, "unknown job")
+		httpError(w, http.StatusNotFound, "unknown or evicted job")
 		return
 	}
 	view := s.viewLocked(j, true)

@@ -8,6 +8,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -210,5 +211,63 @@ func TestShutdownDrainsAcceptedJobs(t *testing.T) {
 	}
 	if len(j.report) == 0 {
 		t.Fatal("drained job has no report")
+	}
+}
+
+// TestFinishedJobsBoundedByTraceRing: the daemon keeps finished jobs, and
+// their reports, for the trace ring's window only. After ring+N jobs
+// finish, exactly ring remain servable, the older N answer 404 "unknown
+// or evicted job", and a job still queued is never dropped.
+func TestFinishedJobsBoundedByTraceRing(t *testing.T) {
+	const ring, extra = 2, 3
+	s := New(Config{QueueDepth: ring + extra + 1, TraceRing: ring}) // never Started: the test runs jobs itself
+	for i := 0; i < ring+extra+1; i++ {
+		if rec := do(s, "POST", "/v1/analyze", `{"apps":["HD"]}`); rec.Code != 202 {
+			t.Fatalf("submit %d: status = %d", i, rec.Code)
+		}
+	}
+	for i := 1; i <= ring+extra; i++ {
+		s.mu.Lock()
+		j := s.jobs[fmt.Sprintf("job-%d", i)]
+		s.mu.Unlock()
+		s.run(j)
+	}
+
+	s.mu.Lock()
+	held := len(s.jobs)
+	s.mu.Unlock()
+	if held != ring+1 {
+		t.Fatalf("job table holds %d jobs, want %d finished + 1 queued", held, ring)
+	}
+	for i := 1; i <= ring+extra+1; i++ {
+		rec := do(s, "GET", fmt.Sprintf("/v1/jobs/job-%d", i), "")
+		// A finished job and its trace share one window.
+		trace := do(s, "GET", fmt.Sprintf("/v1/jobs/job-%d/trace", i), "")
+		switch {
+		case i <= extra:
+			if rec.Code != 404 || !strings.Contains(rec.Body.String(), "unknown or evicted job") {
+				t.Fatalf("evicted job-%d: status = %d body %q", i, rec.Code, rec.Body.String())
+			}
+			if trace.Code != 404 {
+				t.Fatalf("evicted job-%d: trace status = %d", i, trace.Code)
+			}
+		case i <= ring+extra && trace.Code != 200:
+			t.Fatalf("retained job-%d: trace status = %d", i, trace.Code)
+		default:
+			var v jobView
+			if rec.Code != 200 {
+				t.Fatalf("job-%d: status = %d", i, rec.Code)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+				t.Fatal(err)
+			}
+			want := "done"
+			if i == ring+extra+1 {
+				want = "queued"
+			}
+			if v.State != want || (want == "done" && len(v.Report) == 0) {
+				t.Fatalf("job-%d: state %q, %d report bytes; want %s", i, v.State, len(v.Report), want)
+			}
+		}
 	}
 }

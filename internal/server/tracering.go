@@ -72,8 +72,10 @@ func newTraceRing(capacity int, reg *obs.Registry) *traceRing {
 }
 
 // put stores a completed job's trace, evicting the oldest entry when the
-// ring is full.
-func (r *traceRing) put(meta traceMeta, data []byte) {
+// ring is full, and returns the job ids it evicted so the server can
+// forget those jobs too: the ring's order is the one window both
+// GET /v1/jobs/{id} and GET /v1/jobs/{id}/trace serve.
+func (r *traceRing) put(meta traceMeta, data []byte) (evicted []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	meta.Bytes = len(data)
@@ -81,11 +83,13 @@ func (r *traceRing) put(meta traceMeta, data []byte) {
 		oldest := r.order[0]
 		r.order = r.order[1:]
 		delete(r.byJob, oldest)
+		evicted = append(evicted, oldest)
 		r.reg.Counter("server_trace_ring_evictions_total").Inc()
 	}
 	r.byJob[meta.JobID] = &traceEntry{meta: meta, data: data}
 	r.order = append(r.order, meta.JobID)
 	r.reg.Gauge("server_trace_ring_entries").Set(float64(len(r.order)))
+	return evicted
 }
 
 // get returns the serialized trace for a job id, if the ring still holds

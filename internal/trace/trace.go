@@ -12,6 +12,11 @@
 // every test invocation, which is what lets the parallel plan executor in
 // internal/core run independent injection experiments concurrently without
 // their traces or clocks interfering.
+//
+// Callers, the stack walk behind every fault hook, sleep and exception
+// site, costs one unwind plus a map lookup per frame: each program
+// counter is symbolised once per process and its normalised name
+// memoised.
 package trace
 
 import (
@@ -170,25 +175,53 @@ func Note(ctx context.Context, format string, args ...any) {
 	}
 }
 
+// callersBuf is the stack-buffer size Callers unwinds into; deeper
+// requests (skip+max+2 beyond it) fall back to a heap slice.
+const callersBuf = 48
+
+// funcNames memoises a program counter to its normalised function name.
+// runtime.Callers emits one PC per logical frame — the outer frames of an
+// inlined call appear as virtual PCs — so the first frame
+// runtime.CallersFrames yields for a PC depends on that PC alone, and the
+// memo is exact. It holds at most one entry per call-site PC in the
+// binary (a few hundred in practice), so it needs no eviction.
+var funcNames sync.Map // uintptr -> string
+
+// funcName returns the normalised name of the frame at pc, symbolising
+// it on first sight only.
+func funcName(pc uintptr) string {
+	if v, ok := funcNames.Load(pc); ok {
+		return v.(string)
+	}
+	f, _ := runtime.CallersFrames([]uintptr{pc}).Next()
+	name := NormalizeFunc(f.Function)
+	funcNames.Store(pc, name)
+	return name
+}
+
 // Callers returns up to max normalized function names from the calling
 // goroutine's stack, innermost first, skipping skip frames above the caller
-// of Callers itself. Names are normalized by NormalizeFunc.
+// of Callers itself. Names are normalized by NormalizeFunc; frames without
+// a Go function name are skipped.
 func Callers(skip, max int) []string {
-	pcs := make([]uintptr, max+skip+2)
+	var buf [callersBuf]uintptr
+	var pcs []uintptr
+	if want := max + skip + 2; want <= len(buf) {
+		pcs = buf[:want]
+	} else {
+		pcs = make([]uintptr, want)
+	}
 	n := runtime.Callers(skip+2, pcs)
 	if n == 0 {
 		return nil
 	}
-	frames := runtime.CallersFrames(pcs[:n])
-	var out []string
-	for {
-		f, more := frames.Next()
-		name := NormalizeFunc(f.Function)
-		if name != "" {
+	out := make([]string, 0, min(n, max))
+	for _, pc := range pcs[:n] {
+		if name := funcName(pc); name != "" {
 			out = append(out, name)
-		}
-		if !more || len(out) >= max {
-			break
+			if len(out) >= max {
+				break
+			}
 		}
 	}
 	return out
