@@ -29,8 +29,8 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/testkit/... ./internal/fault/... ./internal/trace/... ./internal/obs/... ./internal/cache/... ./internal/server/... ./internal/source/...
 
 ## bench: run the pipeline benchmarks (sequential vs parallel), the
-## snapshot-store microbenchmarks (parse-once vs the legacy triple
-## parse, docs/PERFORMANCE.md), and the generated-corpus scale sweep —
+## snapshot-store microbenchmarks (cold vs warm load,
+## docs/PERFORMANCE.md), and the generated-corpus scale sweep —
 ## cold/warm pipeline cost over 1x and 10x synthetic corpora
 ## (docs/CORPUSGEN.md), recorded in BENCH_pipeline.json's scale_sweep
 ## section. The sweep runs here only, never in ci.

@@ -2,6 +2,7 @@ package wasabi
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/sast"
+	"wasabi/internal/source"
 	"wasabi/internal/study"
 )
 
@@ -271,10 +273,16 @@ func BenchmarkStage_LLMReview(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	snap, err := source.NewStore(nil).Load(app.Dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	i := slices.IndexFunc(snap.Files, func(f *source.File) bool { return f.Name == "rpc.go" })
+	if i < 0 {
+		b.Fatal("rpc.go not loaded")
+	}
 	c := llm.NewClient(llm.DefaultConfig())
-	for i := 0; i < b.N; i++ {
-		if _, err := c.ReviewFile(app.Dir + "/rpc.go"); err != nil {
-			b.Fatal(err)
-		}
+	for n := 0; n < b.N; n++ {
+		c.ReviewSnapshotAt(snap.Files[i], -1, i)
 	}
 }

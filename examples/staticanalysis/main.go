@@ -8,12 +8,11 @@ package main
 import (
 	"fmt"
 	"log"
-	"path/filepath"
-	"sort"
 
 	"wasabi/internal/apps/corpus"
 	"wasabi/internal/llm"
 	"wasabi/internal/sast"
+	"wasabi/internal/source"
 )
 
 func main() {
@@ -22,8 +21,15 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Load the app once: both techniques below read the same snapshot, so
+	// every file is read, hashed and parsed exactly once.
+	snap, err := source.NewStore(nil).Load(app.Dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// Technique 1: control-flow + retry-naming analysis over real Go ASTs.
-	analysis, err := sast.AnalyzeDir(app.Dir)
+	analysis, err := sast.AnalyzeSnapshotWith(snap, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,16 +43,9 @@ func main() {
 	// Technique 2: the simulated GPT-4 review, file by file.
 	fmt.Println("\nLLM review (Q1 retry? / Q2 sleep? / Q3 cap? / Q4 poll?):")
 	client := llm.NewClient(llm.DefaultConfig())
-	files := make([]string, 0, len(analysis.Files))
-	for f := range analysis.Files {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		rev, err := client.ReviewFile(filepath.Join(app.Dir, f))
-		if err != nil {
-			log.Fatal(err)
-		}
+	for i, sf := range snap.Files {
+		rev := client.ReviewSnapshotAt(sf, -1, i)
+		f := sf.Name
 		if rev.TruncatedContext {
 			fmt.Printf("  %-18s too large for the model's context (%d bytes) — retry missed\n", f, rev.Size)
 			continue

@@ -8,6 +8,7 @@ import (
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/sast"
+	"wasabi/internal/source"
 )
 
 // review builds a distinguishable FileReview fixture.
@@ -187,9 +188,9 @@ func TestNilCacheIsInert(t *testing.T) {
 	}
 }
 
-// TestHashDirManifest checks the manifest covers exactly the static
-// source set and that its digest moves iff content does.
-func TestHashDirManifest(t *testing.T) {
+// TestFromSnapshotManifest checks the manifest covers exactly the
+// static source set and that its digest moves iff content does.
+func TestFromSnapshotManifest(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) {
 		t.Helper()
@@ -197,39 +198,43 @@ func TestHashDirManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	st := source.NewStore(nil)
+	manifest := func() *DirManifest {
+		t.Helper()
+		snap, err := st.Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FromSnapshot(snap)
+	}
 	write("a.go", "package p\n")
 	write("b.go", "package p\nfunc B() {}\n")
 	write("b_test.go", "package p\n") // excluded: test file
 	write("notes.txt", "hello")       // excluded: not Go
 
-	m1, err := HashDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m1.Files) != 2 {
+	m1 := manifest()
+	_, a := m1.Files["a.go"]
+	_, b := m1.Files["b.go"]
+	if !a || !b || len(m1.Files) != 2 {
 		t.Fatalf("manifest files = %v, want exactly a.go and b.go", m1.Files)
 	}
 	if m1.TotalBytes != m1.Files["a.go"].Size+m1.Files["b.go"].Size {
 		t.Fatalf("total bytes = %d", m1.TotalBytes)
 	}
 
-	m2, err := HashDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.Digest != m2.Digest {
+	if m2 := manifest(); m1.Digest != m2.Digest {
 		t.Fatal("digest not deterministic")
 	}
 
 	// Editing an excluded file must not move the digest; editing a
 	// source file must.
 	write("b_test.go", "package p\n// changed\n")
-	m3, _ := HashDir(dir)
-	if m3.Digest != m1.Digest {
+	write("notes.txt", "hello again")
+	if m3 := manifest(); m3.Digest != m1.Digest {
 		t.Fatal("digest moved on a non-source edit")
 	}
 	write("b.go", "package p\nfunc B() { _ = 1 }\n")
-	m4, _ := HashDir(dir)
+	m4 := manifest()
 	if m4.Digest == m1.Digest {
 		t.Fatal("digest did not move on a source edit")
 	}

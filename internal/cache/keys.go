@@ -9,9 +9,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"wasabi/internal/sast"
 	"wasabi/internal/source"
@@ -32,7 +29,7 @@ type FileDigest struct {
 
 // DirManifest is the content address of one application directory: the
 // per-file digests of every static-workflow source file (the
-// sast.IsSourceFile set) plus a digest over the whole listing.
+// source.IsSourceFile set) plus a digest over the whole listing.
 type DirManifest struct {
 	// Dir is the directory the manifest describes.
 	Dir string
@@ -47,71 +44,22 @@ type DirManifest struct {
 	TotalBytes int64
 }
 
-// manifestFile is one (name, digest) input of buildManifest.
-type manifestFile struct {
-	name string
-	fd   FileDigest
-}
-
-// buildManifest assembles a DirManifest from per-file digests. files must
-// already be in sorted name order — both producers (HashDir's sorted
-// walk, a snapshot's sorted file list) guarantee it, which is what keeps
-// the two derivations byte-identical.
-func buildManifest(dir string, files []manifestFile) *DirManifest {
-	m := &DirManifest{Dir: dir, Files: make(map[string]FileDigest, len(files))}
+// FromSnapshot derives the manifest of an application directory from
+// its loaded snapshot. The snapshot holds the same file set the static
+// workflows analyze, so a manifest digest addresses exactly the inputs
+// of both the static analysis and the per-file LLM reviews. The store
+// hashed every file at load time, so nothing is re-read or re-hashed;
+// the snapshot's sorted file order keeps the digest deterministic.
+func FromSnapshot(snap *source.Snapshot) *DirManifest {
+	m := &DirManifest{Dir: snap.Dir, Files: make(map[string]FileDigest, len(snap.Files))}
 	h := sha256.New()
-	for _, f := range files {
-		m.Files[f.name] = f.fd
-		m.TotalBytes += f.fd.Size
-		fmt.Fprintf(h, "%s\x00%s\x00%d\x00", f.name, f.fd.SHA256, f.fd.Size)
+	for _, f := range snap.Files {
+		m.Files[f.Name] = FileDigest{SHA256: f.SHA256, Size: f.Size}
+		m.TotalBytes += f.Size
+		fmt.Fprintf(h, "%s\x00%s\x00%d\x00", f.Name, f.SHA256, f.Size)
 	}
 	m.Digest = hex.EncodeToString(h.Sum(nil))
 	return m
-}
-
-// HashDir builds the manifest of an application directory by reading it.
-// It covers the same file set the static workflows analyze, so a
-// manifest digest addresses exactly the inputs of both the static
-// analysis and the per-file LLM reviews. Pipeline runs derive the same
-// manifest from an already-loaded snapshot via FromSnapshot instead of
-// re-reading the tree.
-func HashDir(dir string) (*DirManifest, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("cache: hash %s: %w", dir, err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() || !sast.IsSourceFile(e.Name()) {
-			continue
-		}
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	files := make([]manifestFile, 0, len(names))
-	for _, name := range names {
-		src, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("cache: hash %s: %w", dir, err)
-		}
-		sum := sha256.Sum256(src)
-		files = append(files, manifestFile{name: name, fd: FileDigest{
-			SHA256: hex.EncodeToString(sum[:]), Size: int64(len(src)),
-		}})
-	}
-	return buildManifest(dir, files), nil
-}
-
-// FromSnapshot derives the directory manifest from an already-loaded
-// snapshot: the store hashed every file at load time, so no bytes are
-// re-read and nothing is re-hashed. The digest is byte-identical to
-// HashDir over the same directory state.
-func FromSnapshot(snap *source.Snapshot) *DirManifest {
-	files := make([]manifestFile, 0, len(snap.Files))
-	for _, f := range snap.Files {
-		files = append(files, manifestFile{name: f.Name, fd: FileDigest{SHA256: f.SHA256, Size: f.Size}})
-	}
-	return buildManifest(snap.Dir, files)
 }
 
 // ReviewKey addresses one file's LLM review: the client configuration

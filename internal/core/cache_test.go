@@ -22,6 +22,7 @@ import (
 	"wasabi/internal/obs"
 	"wasabi/internal/report"
 	"wasabi/internal/sast"
+	"wasabi/internal/source"
 )
 
 // copyApp clones the app's source directory into a temp dir so the test
@@ -89,6 +90,16 @@ func delta(after, before cache.Stats) cache.Stats {
 	return d
 }
 
+// appManifest derives dir's manifest through a fresh snapshot store.
+func appManifest(t *testing.T, dir string) *cache.DirManifest {
+	t.Helper()
+	snap, err := source.NewStore(nil).Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cache.FromSnapshot(snap)
+}
+
 // TestWarmRunByteIdenticalZeroSpend is the cache's core contract, pinned
 // across worker counts: cold run populates, warm run replays — same
 // bytes out, zero fresh tokens in — and a single-file edit invalidates
@@ -97,10 +108,7 @@ func TestWarmRunByteIdenticalZeroSpend(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			app := copyApp(t, "HD")
-			man, err := cache.HashDir(app.Dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			man := appManifest(t, app.Dir)
 			nFiles := int64(len(man.Files))
 			if nFiles == 0 {
 				t.Fatal("copied app has no source files")
@@ -194,10 +202,7 @@ func TestWarmRunByteIdenticalZeroSpend(t *testing.T) {
 func TestDiskTierSurvivesRestart(t *testing.T) {
 	app := copyApp(t, "HD")
 	dir := t.TempDir()
-	man, err := cache.HashDir(app.Dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	man := appManifest(t, app.Dir)
 	nFiles := int64(len(man.Files))
 
 	c1, err := cache.New(cache.Options{Dir: dir})

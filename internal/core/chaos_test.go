@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"wasabi/internal/apps/corpus"
 	"wasabi/internal/llm"
@@ -206,5 +208,40 @@ func TestBudgetExhaustionDegradesNotFails(t *testing.T) {
 	}
 	if cr.Degraded {
 		t.Error("budget exhaustion must not mark the whole run degraded (that is reserved for outage)")
+	}
+}
+
+// TestChaosLoadErrorSettlesLane: an app whose directory cannot be loaded
+// never reaches a review, so its budget lane is settled only by
+// identifyLane's deferred zero-claim OpenLane. Without it every later
+// lane would wait on the missing one forever; with it the run returns
+// that app's load error promptly.
+func TestChaosLoadErrorSettlesLane(t *testing.T) {
+	profile, err := llm.ParseFaultProfile("light")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Workers = 4
+	opts.LLM.Fault = &profile
+	apps := corpus.Apps()
+	missing := len(apps) / 2
+	apps[missing].Dir = filepath.Join(t.TempDir(), "missing")
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := New(opts).RunCorpus(apps)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("expected the missing app's load error")
+		}
+		if !strings.Contains(err.Error(), apps[missing].Code) {
+			t.Errorf("error should name the failing app %s: %v", apps[missing].Code, err)
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("RunCorpus hung: a lane after the failed load never settled")
 	}
 }

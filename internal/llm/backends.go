@@ -31,8 +31,6 @@ package llm
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -606,21 +604,14 @@ func (c *Client) newMultiState() *multiState {
 
 // reviewMulti is the multi-backend review path: singleflight coalescing
 // around reviewMultiDirect.
-func (c *Client) reviewMulti(path string, src []byte, pre *source.File) FileReview {
+func (c *Client) reviewMulti(f *source.File) FileReview {
 	ms := c.multi
 	if ms.flight == nil {
-		return c.reviewMultiDirect(path, src, pre)
+		return c.reviewMultiDirect(f)
 	}
-	sum := ""
-	if pre != nil {
-		sum = pre.SHA256
-	} else {
-		h := sha256.Sum256(src)
-		sum = hex.EncodeToString(h[:])
-	}
-	key := ms.fp + "\x00" + path + "\x00" + sum
+	key := ms.fp + "\x00" + f.Path + "\x00" + f.SHA256
 	rev, shared := ms.flight.Do(key, func() FileReview {
-		return c.reviewMultiDirect(path, src, pre)
+		return c.reviewMultiDirect(f)
 	})
 	if shared {
 		rev.Shared = true
@@ -635,8 +626,9 @@ func (c *Client) reviewMulti(path string, src []byte, pre *source.File) FileRevi
 // transport's shared budget (the same pool hedges draw from). Failure
 // degrades the review — the same graceful-degradation contract as
 // chaos mode — with the reason mapped from the terminal error.
-func (c *Client) reviewMultiDirect(path string, src []byte, pre *source.File) FileReview {
+func (c *Client) reviewMultiDirect(f *source.File) FileReview {
 	ms := c.multi
+	path, size := f.Path, len(f.Bytes)
 	ordinal := ms.mt.nextOrdinal()
 	budgetDenied := false
 	winner := ""
@@ -658,7 +650,7 @@ func (c *Client) reviewMultiDirect(path string, src []byte, pre *source.File) Fi
 	// latency (hedge timers, real HTTP) is wall time.
 	reviewCtx := trace.With(context.Background(), trace.NewRun("llm-review"))
 	err := policy.DoSeeded(reviewCtx, pathSeed(path, c.cfg.Seed), func(ctx context.Context) error {
-		call := Call{Path: path, Ordinal: ordinal, Attempt: attempt, Bytes: len(src)}
+		call := Call{Path: path, Ordinal: ordinal, Attempt: attempt, Bytes: size}
 		attempt++
 		name, rerr := ms.mt.Route(ctx, call)
 		if rerr == nil {
@@ -672,11 +664,11 @@ func (c *Client) reviewMultiDirect(path string, src []byte, pre *source.File) Fi
 		c.reg.Counter("llm_transport_retries_total").Add(int64(retries))
 	}
 	if err != nil {
-		rev := c.degraded(path, len(src), multiDegradeReason(err, budgetDenied))
+		rev := c.degraded(path, size, multiDegradeReason(err, budgetDenied))
 		rev.Retries = retries
 		return rev
 	}
-	rev := c.review(path, src, pre)
+	rev := c.review(f)
 	rev.Retries = retries
 	rev.Backend = winner
 	return rev

@@ -10,6 +10,7 @@ import (
 
 	"wasabi/internal/errmodel"
 	"wasabi/internal/obs"
+	"wasabi/internal/source"
 )
 
 // fnTransport adapts a function to the Transport interface — the test
@@ -19,6 +20,12 @@ type fnTransport struct {
 }
 
 func (t fnTransport) Do(ctx context.Context, call Call) error { return t.fn(ctx, call) }
+
+// memFile is a minimal one-package source file loaded through a store.
+func memFile(t testing.TB) *source.File {
+	t.Helper()
+	return snapshotFile(t, "mem.go", []byte("package mem\n"))
+}
 
 // okTransport always succeeds.
 func okTransport() Transport {
@@ -106,7 +113,7 @@ func TestFailoverOnFailure(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	c := NewClient(cfg).Instrument(reg)
-	rev := c.Review("mem.go", []byte("package mem\n"))
+	rev := c.ReviewSnapshotAt(memFile(t), -1, 0)
 	if rev.Degraded {
 		t.Fatalf("review degraded: %+v", rev)
 	}
@@ -130,7 +137,7 @@ func TestAllBackendsFailDegrades(t *testing.T) {
 		{Name: "b", Kind: "sim", Transport: failTransport("BackendOutageException")},
 	}
 	reg := obs.NewRegistry()
-	rev := NewClient(cfg).Instrument(reg).Review("mem.go", []byte("package mem\n"))
+	rev := NewClient(cfg).Instrument(reg).ReviewSnapshotAt(memFile(t), -1, 0)
 	if !rev.Degraded {
 		t.Fatal("review did not degrade with every backend down")
 	}
@@ -497,11 +504,11 @@ func TestClientSingleflightSharesOneCall(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewClient(cfg).Instrument(reg)
 
-	src := []byte("package mem\n")
+	f := memFile(t)
 	revs := make(chan FileReview, 2)
-	go func() { revs <- c.Review("mem.go", src) }()
+	go func() { revs <- c.ReviewSnapshotAt(f, -1, 0) }()
 	<-entered
-	go func() { revs <- c.Review("mem.go", src) }()
+	go func() { revs <- c.ReviewSnapshotAt(f, -1, 0) }()
 	// Let the second review reach the flight wait before the leader's
 	// transport answers.
 	time.Sleep(20 * time.Millisecond)
@@ -563,7 +570,7 @@ func TestMultiBackendZeroRetriesKeepsBudgetFull(t *testing.T) {
 	cfg.Backends = []BackendSpec{{Name: "only", Kind: "sim", Transport: okTransport()}}
 	c := NewClient(cfg).Instrument(obs.NewRegistry())
 	for i := 0; i < 5; i++ {
-		if rev := c.Review("mem.go", []byte("package mem\n")); rev.Degraded || rev.Retries != 0 {
+		if rev := c.ReviewSnapshotAt(memFile(t), -1, 0); rev.Degraded || rev.Retries != 0 {
 			t.Fatalf("healthy review %d: %+v", i, rev)
 		}
 	}

@@ -202,7 +202,7 @@ func TestRoutedHTTPFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev := NewClient(cfg).Review("mem.go", []byte("package mem\n"))
+	rev := NewClient(cfg).ReviewSnapshotAt(memFile(t), -1, 0)
 	if rev.Degraded {
 		t.Fatalf("review degraded: %+v", rev)
 	}

@@ -28,11 +28,8 @@ package llm
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"hash/fnv"
 	"log/slog"
-	"os"
 	"strings"
 	"sync"
 	"time"
@@ -297,79 +294,32 @@ type FileReview struct {
 	Shared bool `json:"-"`
 }
 
-// ReviewFile runs the prompt chain over the file at path. With a fault
-// profile configured the review is admitted in arrival order; corpus
-// runs that need canonical ordering use ReviewFileAt.
-func (c *Client) ReviewFile(path string) (FileReview, error) {
-	return c.ReviewFileAt(path, -1, 0)
-}
-
-// ReviewFileAt is ReviewFile with an explicit canonical slot: lane is the
-// app's position in the corpus and idx the file's position in the app's
-// sorted file list. After StartRun, the resilience stack settles
-// admissions in (lane, idx) order, which is what keeps grant decisions —
-// and therefore output — identical at every worker count. Without a
-// fault profile the slot is ignored.
-func (c *Client) ReviewFileAt(path string, lane, idx int) (FileReview, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		c.reg.Counter("llm_read_failures_total").Inc()
-		if c.chaos != nil {
-			// The slot was announced via OpenLane; settle it (consuming
-			// nothing) so later claims don't wait on it forever.
-			c.chaos.budget.Claim(lane, idx, func(_, _ int) int { return 0 })
-		}
-		return FileReview{}, fmt.Errorf("llm: read %s for review: %w", path, err)
-	}
-	switch {
-	case c.multi != nil:
-		return c.reviewMulti(path, src, nil), nil
-	case c.chaos != nil:
-		return c.reviewChaos(path, src, nil, lane, idx), nil
-	}
-	return c.Review(path, src), nil
-}
-
-// ReviewSnapshotAt is ReviewFileAt over a pre-loaded snapshot file: no
-// disk read, and the prompt chain consumes the snapshot's AST instead of
-// re-parsing the bytes (the parse-once contract). Everything observable
-// — the Q1–Q4 answers, the failure modes, the Spent accounting, and the
-// chaos/budget admission path — is byte-identical to reviewing the same
-// (path, contents) from disk.
+// ReviewSnapshotAt runs the Q1–Q4 prompt chain over one file of a
+// loaded snapshot. It is the only review entry point, so every review
+// consumes the store's bytes and AST (the parse-once contract). lane is
+// the app's position in the corpus and idx the file's position in the
+// app's sorted file list: after StartRun the resilience stack settles
+// admissions in (lane, idx) order, which keeps grant decisions — and
+// therefore output — identical at every worker count. Pass lane -1
+// outside a sequenced run; without a fault profile the slot is ignored.
+// The review, including its Spent accounting, is a pure function of
+// (config, path, contents); the client's cumulative Usage is the only
+// shared state, and it is only ever added to.
 func (c *Client) ReviewSnapshotAt(f *source.File, lane, idx int) FileReview {
 	switch {
 	case c.multi != nil:
-		return c.reviewMulti(f.Path, f.Bytes, f)
+		return c.reviewMulti(f)
 	case c.chaos != nil:
-		return c.reviewChaos(f.Path, f.Bytes, f, lane, idx)
+		return c.reviewChaos(f, lane, idx)
 	}
-	return c.review(f.Path, f.Bytes, f)
+	return c.review(f)
 }
 
-// ReviewSnapshot is ReviewSnapshotAt outside a sequenced corpus run.
-func (c *Client) ReviewSnapshot(f *source.File) FileReview {
-	return c.ReviewSnapshotAt(f, -1, 0)
-}
-
-// Review runs the prompt chain over in-memory file contents, parsing
-// them locally. Snapshot-backed runs use ReviewSnapshot/ReviewSnapshotAt
-// and skip the parse. The review — including its Spent accounting — is a
-// pure function of (config, path, contents), so concurrent reviews of
-// different files are independent; the client's cumulative Usage is the
-// only shared state, and it is only ever added to.
-func (c *Client) Review(path string, src []byte) FileReview {
-	if c.multi != nil {
-		return c.reviewMulti(path, src, nil)
-	}
-	return c.review(path, src, nil)
-}
-
-// review is the Q1–Q4 prompt chain. pre, when non-nil, supplies the
-// pre-parsed snapshot AST (and its parse error); nil parses src into a
-// throwaway FileSet, the pre-snapshot behaviour. The parse only matters
-// below the large-file threshold — the model answers Q1 from the raw
-// context either way — so Spent never depends on which path ran.
-func (c *Client) review(path string, src []byte, pre *source.File) FileReview {
+// review is the Q1–Q4 prompt chain over f's bytes and snapshot AST. The
+// parse only matters below the large-file threshold — the model answers
+// Q1 from the raw context either way.
+func (c *Client) review(f *source.File) FileReview {
+	path, src := f.Path, f.Bytes
 	base := basename(path)
 	rev := FileReview{File: base, Size: len(src)}
 	start := time.Now()
@@ -395,31 +345,23 @@ func (c *Client) review(path string, src []byte, pre *source.File) FileReview {
 		return rev
 	}
 
-	var f *ast.File
-	var err error
-	if pre != nil {
-		f, err = pre.Syntax()
-	} else {
-		f, err = parser.ParseFile(token.NewFileSet(), path, src, parser.ParseComments)
-	}
+	file, err := f.Syntax()
 	if err != nil {
 		// Unparseable input: the real model would still answer; ours
-		// conservatively says no. Snapshot parse failures land here too,
-		// keeping the counter's semantics for genuinely unparseable files
-		// (large files never reach the parse, exactly as before).
+		// conservatively says no. Large files never reach the parse.
 		c.reg.Counter("llm_parse_failures_total").Inc()
 		return rev
 	}
-	pkg := f.Name.Name
-	sleepFuncs := localSleepFunctions(f)
+	pkg := file.Name.Name
+	sleepFuncs := localSleepFunctions(file)
 
-	for _, d := range f.Decls {
+	for _, d := range file.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
 		name := pkg + "." + funcKey(fd)
-		ev := gatherEvidence(fd, f.Comments, sleepFuncs)
+		ev := gatherEvidence(fd, file.Comments, sleepFuncs)
 		// Q1's clarifications: a file that merely *defines* retry policies
 		// or passes retry parameters around is not performing retry — the
 		// model demands a re-execution shape (loop on error, re-enqueue,

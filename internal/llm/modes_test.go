@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// reviewSrc runs the prompt chain over an in-memory file.
-func reviewSrc(cfg Config, src string) FileReview {
-	return NewClient(cfg).Review("mem.go", []byte(src))
+// reviewSrc runs the prompt chain over src loaded as mem.go.
+func reviewSrc(t *testing.T, cfg Config, src string) FileReview {
+	t.Helper()
+	return NewClient(cfg).ReviewSnapshotAt(snapshotFile(t, "mem.go", []byte(src)), -1, 0)
 }
 
 func noNoise() Config {
@@ -35,7 +36,7 @@ func op(ctx context.Context) error { return nil }
 func TestPolicyDefinitionFileSaysNo(t *testing.T) {
 	// Q1 clarification: a file that only builds retry policies is not
 	// performing retry.
-	rev := reviewSrc(noNoise(), memHeader+`
+	rev := reviewSrc(t, noNoise(), memHeader+`
 // DefaultRetryPolicy builds the standard retry policy with maxRetries
 // attempts and retryDelay between them.
 func DefaultRetryPolicy(maxRetries int, retryDelay time.Duration) map[string]any {
@@ -48,7 +49,7 @@ func DefaultRetryPolicy(maxRetries int, retryDelay time.Duration) map[string]any
 }
 
 func TestPollerExcludedByQ4(t *testing.T) {
-	rev := reviewSrc(noNoise(), memHeader+`
+	rev := reviewSrc(t, noNoise(), memHeader+`
 // pollUntilReady keeps retrying the status probe until the service is up.
 func pollUntilReady(ctx context.Context) bool {
 	for retry := 0; retry < 10; retry++ {
@@ -71,7 +72,7 @@ func TestQ4MissRetainsPollerFP(t *testing.T) {
 	// fails and the poller is retained — the §4.2 FP mode.
 	cfg := noNoise()
 	cfg.Q4MissDenom = 1
-	rev := reviewSrc(cfg, memHeader+`
+	rev := reviewSrc(t, cfg, memHeader+`
 // pollUntilReady keeps retrying the status probe until the service is up.
 func pollUntilReady(ctx context.Context) bool {
 	for retry := 0; retry < 10; retry++ {
@@ -92,7 +93,7 @@ func pollUntilReady(ctx context.Context) bool {
 func TestCrossFileSleepInvisible(t *testing.T) {
 	// The sleep helper is in ANOTHER file, so the single-file reader
 	// answers Q2 "No" — the missing-delay FP mode of §4.3.
-	rev := reviewSrc(noNoise(), memHeader+`
+	rev := reviewSrc(t, noNoise(), memHeader+`
 // send delivers a message, retrying transient failures.
 func send(ctx context.Context) error {
 	var last error
@@ -122,7 +123,7 @@ func send(ctx context.Context) error {
 }
 
 func TestSameFileSleepHelperVisible(t *testing.T) {
-	rev := reviewSrc(noNoise(), memHeader+`
+	rev := reviewSrc(t, noNoise(), memHeader+`
 func pauseBetween(ctx context.Context, n int) {
 	vclock.Sleep(ctx, time.Second)
 }
@@ -165,11 +166,11 @@ func send(ctx context.Context) error {
 	return last
 }
 `
-	if rev := reviewSrc(cfg, body); !rev.PerformsRetry {
+	if rev := reviewSrc(t, cfg, body); !rev.PerformsRetry {
 		t.Error("small file under a large threshold should be read")
 	}
 	cfg.LargeFileThreshold = len(body) - 1
-	if rev := reviewSrc(cfg, body); !rev.TruncatedContext {
+	if rev := reviewSrc(t, cfg, body); !rev.TruncatedContext {
 		t.Error("file one byte over the threshold should be truncated")
 	}
 }
@@ -177,10 +178,10 @@ func send(ctx context.Context) error {
 func TestTokenAccountingScalesWithFileSize(t *testing.T) {
 	c := NewClient(noNoise())
 	pad := strings.Repeat("// padding line for token accounting\n", 40)
-	c.Review("a.go", []byte(memHeader+pad))
+	c.ReviewSnapshotAt(snapshotFile(t, "a.go", []byte(memHeader+pad)), -1, 0)
 	small := c.Usage().TokensIn
 	c.ResetUsage()
-	c.Review("b.go", []byte(memHeader+pad+pad+pad))
+	c.ReviewSnapshotAt(snapshotFile(t, "b.go", []byte(memHeader+pad+pad+pad)), -1, 0)
 	large := c.Usage().TokensIn
 	if large <= small {
 		t.Errorf("tokens: small=%d large=%d", small, large)
@@ -207,7 +208,7 @@ func worker%d(ctx context.Context) error {
 }
 `, i, i)
 	}
-	rev := reviewSrc(noNoise(), b.String())
+	rev := reviewSrc(t, noNoise(), b.String())
 	if len(rev.Findings) != 5 {
 		t.Errorf("findings = %d, want all 5 workers", len(rev.Findings))
 	}

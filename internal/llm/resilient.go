@@ -246,15 +246,14 @@ func (c *Client) admit(path string, lane, idx int) admission {
 // canonical order, then the real retry loop against the faulty transport
 // on a per-review virtual clock. A review the backend cannot complete
 // returns a Degraded FileReview (never an error): the caller falls back
-// to static-only analysis for that file. pre, when non-nil, is the
-// pre-parsed snapshot file the successful-delivery review consumes;
-// admission and delivery depend only on (path, len(src)), so the
-// resilience decisions are identical with or without it.
-func (c *Client) reviewChaos(path string, src []byte, pre *source.File, lane, idx int) FileReview {
+// to static-only analysis for that file. Admission and delivery depend
+// only on (path, size); the bytes matter only to the review itself.
+func (c *Client) reviewChaos(f *source.File, lane, idx int) FileReview {
 	ch := c.chaos
+	path, size := f.Path, len(f.Bytes)
 	ad := c.admit(path, lane, idx)
 	if ad.skip {
-		return c.degraded(path, len(src), ad.reason)
+		return c.degraded(path, size, ad.reason)
 	}
 
 	// Real delivery: bounded attempts, decorrelated-jitter backoff seeded
@@ -273,7 +272,7 @@ func (c *Client) reviewChaos(path string, src []byte, pre *source.File, lane, id
 	attempt := 0
 	reviewCtx := trace.With(context.Background(), trace.NewRun("llm-review"))
 	err := policy.DoSeeded(reviewCtx, pathSeed(path, c.cfg.Seed), func(ctx context.Context) error {
-		call := Call{Path: path, Ordinal: ad.ordinal, Attempt: attempt, Bytes: len(src)}
+		call := Call{Path: path, Ordinal: ad.ordinal, Attempt: attempt, Bytes: size}
 		attempt++
 		return ch.transport.Do(ctx, call)
 	})
@@ -288,11 +287,11 @@ func (c *Client) reviewChaos(path string, src []byte, pre *source.File, lane, id
 			// be a bug, but degrade honestly rather than panic.
 			reason = DegradedRetries
 		}
-		rev := c.degraded(path, len(src), reason)
+		rev := c.degraded(path, size, reason)
 		rev.Retries = retries
 		return rev
 	}
-	rev := c.review(path, src, pre)
+	rev := c.review(f)
 	rev.Retries = retries
 	return rev
 }

@@ -5,8 +5,8 @@
 // Throws classes, fault-hook instrumentability, the bare callee names
 // of its body, and the structural retry-loop candidates (line, keyword
 // flag, excluded exceptions, loop-body callees). That is exactly the
-// input of the cross-file merge (loops.go), so AnalyzeSnapshot can run
-// over decoded facts without ever touching go/ast — which is what lets
+// input of the cross-file merge (loops.go), so AnalyzeSnapshotWith can
+// run over decoded facts without ever touching go/ast — which is what lets
 // the static tier round-trip through the disk cache and survive a
 // daemon restart at zero parses.
 //
@@ -73,8 +73,8 @@ type LoopFacts struct {
 	Calls []string `json:"calls,omitempty"`
 }
 
-// FactsStore is the persistence seam AnalyzeSnapshot hydrates extraction
-// facts through, keyed by content hash. *cache.Cache implements it (the
+// FactsStore is the persistence seam AnalyzeSnapshotWith hydrates
+// extraction facts through, keyed by content hash. *cache.Cache implements it (the
 // interface lives here because the cache package already depends on
 // sast); a nil store disables hydration and every file extracts from
 // its AST.

@@ -131,7 +131,7 @@ func TestDecodeFactsFailsClosed(t *testing.T) {
 // encoded facts equals an analysis extracted from ASTs — including the
 // unexported merge inputs — and the hydrated pass extracts nothing.
 func TestAnalyzeSnapshotWithStoreMatchesDirect(t *testing.T) {
-	direct, err := AnalyzeSnapshot(loadHDFS(t))
+	direct, err := AnalyzeSnapshotWith(loadHDFS(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,24 +86,17 @@ type Analysis struct {
 	CandidateLoops int
 }
 
-// IsSourceFile reports whether a directory entry counts as application
-// source for the static workflows. It is source.IsSourceFile, re-exported
-// where the analyses live: the snapshot store, the analysis cache
-// (internal/cache) and this package all share the predicate, so content
-// addresses cover exactly the files analyzed here.
-func IsSourceFile(name string) bool { return source.IsSourceFile(name) }
-
 // AnalyzeDir loads every non-test Go file in dir into a one-shot
-// snapshot and runs the retry-loop analysis. Pipeline runs go through
-// AnalyzeSnapshot (snapshot.go) on an already-loaded, shared snapshot
-// instead; this entry point remains for standalone callers and parses
-// each file exactly once either way.
+// snapshot and runs the retry-loop analysis without a facts tier.
+// Pipeline runs call AnalyzeSnapshotWith (snapshot.go) on an
+// already-loaded, shared snapshot instead; this is the standalone
+// convenience, and parses each file exactly once either way.
 func AnalyzeDir(dir string) (*Analysis, error) {
 	snap, err := source.NewStore(nil).Load(dir)
 	if err != nil {
 		return nil, fmt.Errorf("sast: %w", err)
 	}
-	return AnalyzeSnapshot(snap)
+	return AnalyzeSnapshotWith(snap, nil)
 }
 
 // funcKey renders "Type.method" for methods and "func" for functions.

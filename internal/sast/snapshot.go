@@ -1,5 +1,5 @@
 // snapshot.go is the parse-once entry point of the traditional static
-// analysis: AnalyzeSnapshot consumes a pre-loaded source.Snapshot
+// analysis: AnalyzeSnapshotWith consumes a pre-loaded source.Snapshot
 // instead of re-reading and re-parsing the directory, and splits the
 // work file-granularly — per-file extraction is memoized on the
 // snapshot file by content hash (File.MemoThrough) and hydrated from
@@ -106,21 +106,13 @@ func extractFacts(f *source.File) (*FileFacts, error) {
 	return ff, nil
 }
 
-// AnalyzeSnapshot runs the retry-loop analysis over a pre-loaded
-// snapshot with no facts tier attached: unseen files extract from their
-// ASTs. The result is byte-identical to AnalyzeDir over the same
-// directory state.
-func AnalyzeSnapshot(snap *source.Snapshot) (*Analysis, error) {
-	return AnalyzeSnapshotWith(snap, nil)
-}
-
-// AnalyzeSnapshotWith is AnalyzeSnapshot with a facts tier: per-file
-// facts come from the snapshot's memo, hydrate from the store by
-// content hash, or — only when both miss — extract from the AST. Over
-// an unchanged corpus with a populated store, it parses nothing; only
-// the cross-file merge (naming, callee resolution, loop analysis) runs
-// unconditionally, and its output is byte-identical whichever path
-// supplied the facts.
+// AnalyzeSnapshotWith runs the retry-loop analysis over a pre-loaded
+// snapshot. Per-file facts come from the snapshot's memo, hydrate from
+// store by content hash (a nil store disables hydration), or — only
+// when both miss — extract from the AST. Over an unchanged corpus with
+// a populated store, it parses nothing; only the cross-file merge
+// (naming, callee resolution, loop analysis) runs unconditionally, and
+// its output is byte-identical whichever path supplied the facts.
 func AnalyzeSnapshotWith(snap *source.Snapshot, store FactsStore) (*Analysis, error) {
 	a := &Analysis{
 		Files:   make(map[string]int),

@@ -55,7 +55,7 @@ import (
 )
 
 // DefaultKeepGenerations is how many content versions of one path a
-// Store retains by default. Two covers the daemon's steady state — the
+// Store retains. Two covers the daemon's steady state — the
 // version in flight plus the edit that just landed — while bounding
 // memory under a long edit history.
 const DefaultKeepGenerations = 2
@@ -190,15 +190,14 @@ func (s *Snapshot) Names() []string {
 // across many (the daemon shares one across jobs, which is where the
 // incremental wins come from).
 //
-// Per path, only the latest keep generations are retained (see
-// SetKeepGenerations); older versions are evicted wholesale — bytes,
-// AST, memoized artifacts — under the store lock.
+// Per path, only the latest DefaultKeepGenerations versions are
+// retained; older versions are evicted wholesale — bytes, AST, memoized
+// artifacts — under the store lock.
 type Store struct {
 	reg  *obs.Registry
 	fset *token.FileSet
 
 	mu            sync.Mutex
-	keep          int
 	entries       map[string]*File
 	gens          map[string][]string // path → entry keys, oldest first
 	retainedBytes int64
@@ -210,20 +209,9 @@ func NewStore(reg *obs.Registry) *Store {
 	return &Store{
 		reg:     reg,
 		fset:    token.NewFileSet(),
-		keep:    DefaultKeepGenerations,
 		entries: make(map[string]*File),
 		gens:    make(map[string][]string),
 	}
-}
-
-// SetKeepGenerations bounds per-path retention to the latest k content
-// versions (k < 1 disables eviction — the unbounded pre-eviction
-// behaviour, useful only for experiments). Lowering k takes effect on
-// the next intern of each path.
-func (s *Store) SetKeepGenerations(k int) {
-	s.mu.Lock()
-	s.keep = k
-	s.mu.Unlock()
 }
 
 // Fset returns the store-wide FileSet.
@@ -303,7 +291,7 @@ func (s *Store) touchGeneration(path, key string) {
 		}
 	}
 	g = append(g, key)
-	for s.keep >= 1 && len(g) > s.keep {
+	for len(g) > DefaultKeepGenerations {
 		victim := g[0]
 		g = g[1:]
 		if vf, ok := s.entries[victim]; ok {

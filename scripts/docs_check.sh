@@ -38,6 +38,11 @@
 #  11. The retry-facts format version (sast.FactsSchema) appears
 #      verbatim in docs/ARCHITECTURE.md — a version bump must update
 #      the documented format.
+#  12. The reverse of 4, 7 and 10: every metric named in the first
+#      column of the docs/OBSERVABILITY.md "Metric catalog" tables is
+#      emitted by a non-test Go source of the main module — a metric
+#      deleted from the code must leave the catalog too. Render-time
+#      "_quantile" summaries count as emitted when their histogram is.
 #
 # Exits non-zero listing every violation; run via `make docs-check`.
 set -u
@@ -154,6 +159,21 @@ else
 	grep -qF "$facts_schema" docs/ARCHITECTURE.md ||
 		err "facts format version $facts_schema (internal/sast) is not documented in docs/ARCHITECTURE.md"
 fi
+
+# 12. Every cataloged metric must still be emitted by the code.
+gosrc=$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*')
+for metric in $(sed -n '/^## Metric catalog/,/^## /p' docs/OBSERVABILITY.md |
+	grep -E '^\| `' | cut -d'|' -f2 | grep -oE '`[a-z_]+' | tr -d '`' | sort -u); do
+	name=$metric
+	case $metric in
+	*_quantile)
+		grep -qF '"_quantile"' $gosrc || err "metric $metric: no Go source renders _quantile summaries"
+		name=${metric%_quantile}
+		;;
+	esac
+	grep -qF "\"$name\"" $gosrc ||
+		err "metric $metric is cataloged in docs/OBSERVABILITY.md but no non-test Go source emits it"
+done
 
 if [ "$fail" -ne 0 ]; then
 	echo "docs-check: FAILED" >&2
