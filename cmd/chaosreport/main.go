@@ -99,7 +99,10 @@ func main() {
 			os.Exit(1)
 		}
 		opts := core.DefaultOptions()
-		opts.LLM.Backends = specs
+		if opts.LLM.Multi, err = llm.NewMultiTransport(opts.LLM, specs, 0, nil); err != nil {
+			fmt.Fprintf(os.Stderr, "chaosreport: %s: %v\n", tr.name, err)
+			os.Exit(1)
+		}
 		measure(tr.name, opts)
 	}
 }

@@ -7,7 +7,6 @@
 //	       [-json] [-corpus DIR]
 //	       [-cache-dir DIR] [-cache-bytes N]
 //	       [-llm-fault-profile none|light|heavy|outage|k=v,...]
-//	       [-llm-outage-after N]
 //	       [-llm-backends name=sim[:profile];name=http:URL;...]
 //	       [-llm-hedge-after DUR]
 //	       [-metrics-out m.json] [-trace-out t.json]
@@ -36,8 +35,8 @@
 // LLM backend (docs/RESILIENCE.md): transient faults are retried through
 // the resilience stack, permanent ones degrade the affected files to
 // static-only analysis, and stdout stays byte-identical for a fixed
-// (seed, profile) at every -workers setting. -llm-outage-after N takes
-// the backend hard-down from the Nth review onward.
+// (seed, profile) at every -workers setting. The profile entry
+// outage-after=N takes the backend hard-down from the Nth review onward.
 //
 // -llm-backends routes reviews across an ordered multi-backend topology
 // with per-backend circuit breakers and health-gated failover
@@ -81,7 +80,6 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 0, "in-memory cache byte budget (0 = default; needs -cache-dir)")
 	faultProfile := flag.String("llm-fault-profile", "",
 		fmt.Sprintf("simulate an unreliable LLM backend: %v or key=value list (see docs/RESILIENCE.md); empty = perfect backend", llm.ProfileNames()))
-	outageAfter := flag.Int("llm-outage-after", 0, "take the LLM backend hard-down from the Nth review onward (0 = never)")
 	backends := flag.String("llm-backends", "",
 		"route reviews across an ordered multi-backend topology: \"name=sim[:profile];name=http:URL;...\" (see docs/RESILIENCE.md); mutually exclusive with -llm-fault-profile")
 	hedgeAfter := flag.Duration("llm-hedge-after", 0,
@@ -128,32 +126,17 @@ func main() {
 
 	opts := core.DefaultOptions()
 	opts.Workers = *workers
-	if *faultProfile != "" || *outageAfter > 0 {
-		profile, err := llm.ParseFaultProfile(*faultProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *outageAfter > 0 {
-			profile.OutageAfterFiles = *outageAfter
-		}
-		opts.LLM.Fault = &profile
-	}
-	if *backends != "" {
-		if opts.LLM.Fault != nil {
-			fmt.Fprintln(os.Stderr, "wasabi: -llm-backends and -llm-fault-profile/-llm-outage-after are mutually exclusive; put per-backend fault profiles in the topology (name=sim:profile)")
-			os.Exit(2)
-		}
-		specs, err := llm.ParseBackends(*backends)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		opts.LLM.Backends = specs
-		opts.LLM.HedgeAfter = *hedgeAfter
-	} else if *hedgeAfter > 0 {
-		fmt.Fprintln(os.Stderr, "wasabi: -llm-hedge-after needs -llm-backends (hedging routes across a topology)")
+	fault, specs, err := llm.ParseModeFlags(*faultProfile, *backends, *hedgeAfter)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	opts.LLM.Fault = fault
+	if specs != nil {
+		if opts.LLM.Multi, err = llm.NewMultiTransport(opts.LLM, specs, *hedgeAfter, nil); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 	observed := *metricsOut != "" || *traceOut != ""
 	if observed {

@@ -9,7 +9,6 @@
 //	        [-slots N] [-tenant-quota N] [-tenant-priority name=w,...]
 //	        [-cache-dir DIR] [-cache-bytes N] [-pprof]
 //	        [-llm-fault-profile none|light|heavy|outage|k=v,...]
-//	        [-llm-outage-after N]
 //	        [-llm-backends name=sim[:profile];name=http:URL;...]
 //	        [-llm-hedge-after DUR]
 //	        [-log-format text|json] [-log-level LEVEL] [-trace-ring N]
@@ -69,7 +68,6 @@ func main() {
 	cacheBytes := flag.Int64("cache-bytes", 0, "in-memory cache byte budget (0 = default)")
 	faultProfile := flag.String("llm-fault-profile", "",
 		fmt.Sprintf("simulate an unreliable LLM backend for every job: %v or key=value list (see docs/RESILIENCE.md)", llm.ProfileNames()))
-	outageAfter := flag.Int("llm-outage-after", 0, "take the LLM backend hard-down from the Nth review of each job (0 = never)")
 	backends := flag.String("llm-backends", "",
 		"route reviews across an ordered multi-backend topology: \"name=sim[:profile];name=http:URL;...\" (see docs/RESILIENCE.md); mutually exclusive with -llm-fault-profile")
 	hedgeAfter := flag.Duration("llm-hedge-after", 0,
@@ -123,33 +121,12 @@ func main() {
 		}
 		cfg.Corpus = apps
 	}
-	if *faultProfile != "" || *outageAfter > 0 {
-		profile, err := llm.ParseFaultProfile(*faultProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *outageAfter > 0 {
-			profile.OutageAfterFiles = *outageAfter
-		}
-		cfg.Fault = &profile
-	}
-	if *backends != "" {
-		if cfg.Fault != nil {
-			fmt.Fprintln(os.Stderr, "wasabid: -llm-backends and -llm-fault-profile/-llm-outage-after are mutually exclusive; put per-backend fault profiles in the topology (name=sim:profile)")
-			os.Exit(2)
-		}
-		specs, err := llm.ParseBackends(*backends)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg.LLMBackends = specs
-		cfg.LLMHedgeAfter = *hedgeAfter
-	} else if *hedgeAfter > 0 {
-		fmt.Fprintln(os.Stderr, "wasabid: -llm-hedge-after needs -llm-backends (hedging routes across a topology)")
+	cfg.Fault, cfg.LLMBackends, err = llm.ParseModeFlags(*faultProfile, *backends, *hedgeAfter)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	cfg.LLMHedgeAfter = *hedgeAfter
 
 	srv := server.New(cfg)
 	if err := srv.Start(); err != nil {

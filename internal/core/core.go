@@ -130,7 +130,7 @@ func New(opts Options) *Wasabi {
 		// Multi-backend runs are excluded like fault-profile runs: their
 		// admissions (failover, hedging, singleflight) are arrival-order
 		// facts that per-file memoization cannot reproduce.
-		reviewCache: opts.Cache != nil && opts.LLM.Fault == nil && !opts.LLM.MultiBackend(),
+		reviewCache: opts.Cache != nil && opts.LLM.Fault == nil && opts.LLM.Multi == nil,
 		src:         opts.Source,
 		// The calling goroutine always participates in parallel loops, so
 		// the pool itself holds Workers-1 extra slots.

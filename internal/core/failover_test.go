@@ -19,7 +19,9 @@ func failoverRun(t *testing.T, spec string, workers int) (*CorpusRun, obs.Snapsh
 	opts := DefaultOptions()
 	opts.Workers = workers
 	opts.Obs = obs.New()
-	opts.LLM.Backends = specs
+	if opts.LLM.Multi, err = llm.NewMultiTransport(opts.LLM, specs, 0, nil); err != nil {
+		t.Fatal(err)
+	}
 	cr, err := New(opts).RunCorpus(corpus.Apps())
 	if err != nil {
 		t.Fatalf("backends %q workers %d: %v", spec, workers, err)

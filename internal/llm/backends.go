@@ -10,17 +10,21 @@
 //     open is skipped, and after the cooldown exactly one half-open
 //     probe is admitted to test recovery;
 //   - hedged requests: when the preferred backend has not answered
-//     within Config.HedgeAfter, a second attempt launches on the next
-//     healthy backend — paying one token from the shared retry Budget,
-//     so hedges and retries draw down the same bounded pool;
+//     within the transport's hedge threshold, a second attempt launches
+//     on the next healthy backend — paying one token from the shared
+//     retry Budget, so hedges and retries draw down the same bounded
+//     pool;
 //   - singleflight: identical in-flight reviews (same config
 //     fingerprint, path and content hash — the review-cache content
 //     address) coalesce onto one upstream call whose answer is shared
-//     by every waiter (Flight).
+//     by every waiter (flight).
 //
-// The default single-simulator configuration never constructs any of
-// this: with Config.Backends empty, reviews take exactly the PR 3 code
-// path and chaos runs stay byte-identical. Multi-backend runs trade the
+// A MultiTransport is the client's one routing input (Config.Multi): it
+// owns its topology, hedge threshold, resilience tuning and singleflight
+// group, so clients sharing it cannot disagree about any of them. The
+// default single-simulator configuration never constructs any of this:
+// with Config.Multi nil, reviews take the plain or fault-profile path
+// and chaos runs stay byte-identical. Multi-backend runs trade the
 // canonical-order admission determinism of resilient.go for
 // availability — *except* in the case that matters: review answers are
 // computed locally (a pure function of config, path and contents), the
@@ -33,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"log/slog"
 	"regexp"
 	"strings"
@@ -40,7 +45,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wasabi/internal/errmodel"
 	"wasabi/internal/obs"
 	"wasabi/internal/resilience"
 	"wasabi/internal/source"
@@ -158,6 +162,35 @@ func ParseBackends(spec string) ([]BackendSpec, error) {
 	return out, nil
 }
 
+// ParseModeFlags parses the LLM-mode flags cmd/wasabi and cmd/wasabid
+// share — -llm-fault-profile, -llm-backends and -llm-hedge-after — into
+// a fault profile (nil when faultSpec is empty) and a backend topology
+// (nil when backendsSpec is empty). A topology excludes a profile, since
+// per-backend profiles go in the topology, and hedging needs a topology.
+func ParseModeFlags(faultSpec, backendsSpec string, hedgeAfter time.Duration) (*FaultProfile, []BackendSpec, error) {
+	var fault *FaultProfile
+	if faultSpec != "" {
+		p, err := ParseFaultProfile(faultSpec)
+		if err != nil {
+			return nil, nil, err
+		}
+		fault = &p
+	}
+	switch {
+	case backendsSpec == "" && hedgeAfter > 0:
+		return nil, nil, errors.New("llm: -llm-hedge-after needs -llm-backends (hedging routes across a topology)")
+	case backendsSpec == "":
+		return fault, nil, nil
+	case fault != nil:
+		return nil, nil, errors.New("llm: -llm-backends and -llm-fault-profile are mutually exclusive; put per-backend fault profiles in the topology (name=sim:profile)")
+	}
+	specs, err := ParseBackends(backendsSpec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return nil, specs, nil
+}
+
 // backendsString renders a topology in ParseBackends' grammar — the
 // form Config.Fingerprint folds into review-cache keys.
 func backendsString(specs []BackendSpec) string {
@@ -183,6 +216,15 @@ type backend struct {
 // survives across jobs.
 type MultiTransport struct {
 	hedgeAfter time.Duration
+	// topology renders the backends and hedge threshold for
+	// Config.Fingerprint.
+	topology string
+	// res tunes the breakers, the shared budget and the retry policy
+	// every review routed through this transport runs under.
+	res ResilienceConfig
+	// flight coalesces identical in-flight reviews across every client
+	// sharing the transport.
+	flight *flight
 	// budget is the shared retry/hedge token pool: the client's retry
 	// loop and the hedge launcher draw from the same bucket, which is
 	// what bounds total extra spend ("retries are a global resource").
@@ -201,25 +243,35 @@ type MultiTransport struct {
 	ord atomic.Int64
 }
 
-// NewMultiTransport builds the router for cfg.Backends, with breakers
-// and the shared budget sized by cfg.Resilience. The error cases are
-// spec-validation failures; specs produced by ParseBackends never fail.
-func NewMultiTransport(cfg Config) (*MultiTransport, error) {
-	if len(cfg.Backends) == 0 {
+// NewMultiTransport builds the router for an ordered backend topology.
+// cfg.Resilience sizes the breakers, the shared budget and the retry
+// policy of routed reviews, and cfg.Seed keys the faults of sim backends
+// with a profile. hedgeAfter > 0 hedges onto the next healthy backend
+// after that much silence; log receives routing decision events (nil
+// discards them). The error cases are spec-validation failures; specs
+// produced by ParseBackends never fail.
+func NewMultiTransport(cfg Config, specs []BackendSpec, hedgeAfter time.Duration, log *slog.Logger) (*MultiTransport, error) {
+	if len(specs) == 0 {
 		return nil, errors.New("llm: NewMultiTransport wants at least one backend")
 	}
 	res := cfg.Resilience.withDefaults()
 	mt := &MultiTransport{
-		hedgeAfter: cfg.HedgeAfter,
+		hedgeAfter: hedgeAfter,
+		topology:   backendsString(specs),
+		res:        res,
+		flight:     &flight{calls: make(map[string]*flightCall)},
 		budget:     resilience.NewBudget(res.BudgetCapacity, res.BudgetRefillEvery),
-		log:        cfg.Log,
+		log:        log,
 		start:      time.Now(),
+	}
+	if hedgeAfter > 0 {
+		mt.topology += "|hedge=" + hedgeAfter.String()
 	}
 	if mt.log == nil {
 		mt.log = slog.New(discardHandler{})
 	}
 	mt.now = func() time.Duration { return time.Since(mt.start) }
-	for _, spec := range cfg.Backends {
+	for _, spec := range specs {
 		t := spec.Transport
 		if t == nil {
 			switch spec.Kind {
@@ -256,7 +308,8 @@ func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // Instrument attaches a metrics registry once (later calls are no-ops,
 // so per-job clients sharing a daemon-lifetime transport cannot rebind
-// it mid-flight) and returns the transport for chaining.
+// it mid-flight), including the fault counters of faulty sim backends,
+// and returns the transport for chaining.
 func (mt *MultiTransport) Instrument(reg *obs.Registry) *MultiTransport {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
@@ -264,6 +317,9 @@ func (mt *MultiTransport) Instrument(reg *obs.Registry) *MultiTransport {
 		mt.reg = reg
 		for _, b := range mt.backends {
 			reg.Gauge("llm_backend_breaker_state", "backend", b.name).Set(breakerStateValue(resilience.Closed))
+			if ft, ok := b.t.(*FaultyTransport); ok {
+				ft.Instrument(reg)
+			}
 		}
 	}
 	return mt
@@ -277,8 +333,8 @@ func (mt *MultiTransport) SetClock(now func() time.Duration) {
 	mt.now = now
 }
 
-// Budget exposes the shared retry/hedge token pool (for the client's
-// retry loop and for tests asserting the hedge bound).
+// Budget exposes the shared retry/hedge token pool (for tests asserting
+// the hedge bound).
 func (mt *MultiTransport) Budget() *resilience.Budget { return mt.budget }
 
 // Backends returns the backend names in routing order.
@@ -404,13 +460,13 @@ func (mt *MultiTransport) Do(ctx context.Context, call Call) error {
 
 // Route delivers one call across the backend set and returns the name
 // of the backend that answered. The preferred (first healthy) backend
-// is tried first; if HedgeAfter elapses without an answer, a hedge
-// launches on the next healthy backend — if the shared budget grants a
-// token — and the first success wins, cancelling the loser. When every
-// launched attempt fails, routing falls over to the next healthy
-// backend in order until the set is exhausted. Every outcome settles
-// the owning backend's breaker; an all-breakers-open set returns
-// ErrAllBreakersOpen without touching any backend.
+// is tried first; if the hedge threshold elapses without an answer, a
+// hedge launches on the next healthy backend — if the shared budget
+// grants a token — and the first success wins, cancelling the loser.
+// When every launched attempt fails, routing falls over to the next
+// healthy backend in order until the set is exhausted. Every outcome
+// settles the owning backend's breaker; an all-breakers-open set
+// returns ErrAllBreakersOpen without touching any backend.
 func (mt *MultiTransport) Route(ctx context.Context, call Call) (string, error) {
 	reg := mt.registry()
 	first, next := mt.nextAdmitted(0)
@@ -519,15 +575,16 @@ func isCancellation(err error) bool {
 // durFloatMS renders a duration as float milliseconds for log fields.
 func durFloatMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// Flight coalesces identical in-flight reviews: callers reviewing the
+// flight coalesces identical in-flight reviews: callers reviewing the
 // same content address (config fingerprint, path, content hash — the
 // review-cache key ingredients) while an equivalent review is already
 // running wait for that review's answer instead of spending another
-// upstream call. Share one Flight across clients (wasabid holds one per
-// process) to coalesce across concurrent jobs. Only *in-flight*
-// duplication coalesces — once the leader finishes, the next caller
-// starts fresh (cross-run memoization is the cache's job, not ours).
-type Flight struct {
+// upstream call. Each MultiTransport owns one, so clients sharing the
+// transport (wasabid holds one per process) coalesce across concurrent
+// jobs. Only *in-flight* duplication coalesces — once the leader
+// finishes, the next caller starts fresh (cross-run memoization is the
+// cache's job, not ours).
+type flight struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
 }
@@ -537,16 +594,11 @@ type flightCall struct {
 	rev  FileReview
 }
 
-// NewFlight returns an empty singleflight group.
-func NewFlight() *Flight {
-	return &Flight{calls: make(map[string]*flightCall)}
-}
-
 // Do runs fn for the first caller of key and hands its FileReview to
 // every caller that arrives while fn is in flight. The bool reports
 // whether this caller shared a leader's answer (true) or ran fn itself
 // (false). Shared copies alias nothing mutable with the leader's.
-func (f *Flight) Do(key string, fn func() FileReview) (FileReview, bool) {
+func (f *flight) Do(key string, fn func() FileReview) (FileReview, bool) {
 	f.mu.Lock()
 	if fc, ok := f.calls[key]; ok {
 		f.mu.Unlock()
@@ -570,48 +622,12 @@ func (f *Flight) Do(key string, fn func() FileReview) (FileReview, bool) {
 	return fc.rev, false
 }
 
-// multiState is the client's multi-backend routing state, present only
-// when Config.Backends (or Config.Multi) is set — the multi-mode
-// counterpart of chaosState.
-type multiState struct {
-	res    ResilienceConfig
-	mt     *MultiTransport
-	flight *Flight
-	// fp caches the client's fingerprint for flight keys.
-	fp string
-}
-
-// newMultiState wires the client to a transport: the one provided via
-// Config.Multi (shared, e.g. daemon-lifetime) or a fresh one built from
-// Config.Backends (per-run, the CLI shape).
-func (c *Client) newMultiState() *multiState {
-	mt := c.cfg.Multi
-	if mt == nil {
-		var err error
-		if mt, err = NewMultiTransport(c.cfg); err != nil {
-			// Backends reaching NewClient unvalidated is programmer
-			// error; flag paths go through ParseBackends first.
-			panic(err)
-		}
-	}
-	return &multiState{
-		res:    c.cfg.Resilience.withDefaults(),
-		mt:     mt,
-		flight: c.cfg.Flight,
-		fp:     c.cfg.Fingerprint(),
-	}
-}
-
 // reviewMulti is the multi-backend review path: singleflight coalescing
-// around reviewMultiDirect.
+// around reviewRouted.
 func (c *Client) reviewMulti(f *source.File) FileReview {
-	ms := c.multi
-	if ms.flight == nil {
-		return c.reviewMultiDirect(f)
-	}
-	key := ms.fp + "\x00" + f.Path + "\x00" + f.SHA256
-	rev, shared := ms.flight.Do(key, func() FileReview {
-		return c.reviewMultiDirect(f)
+	key := c.cfg.Fingerprint() + "\x00" + f.Path + "\x00" + f.SHA256
+	rev, shared := c.cfg.Multi.flight.Do(key, func() FileReview {
+		return c.reviewRouted(f)
 	})
 	if shared {
 		rev.Shared = true
@@ -620,26 +636,25 @@ func (c *Client) reviewMulti(f *source.File) FileReview {
 	return rev
 }
 
-// reviewMultiDirect runs one review through the routed transport under
-// the retry policy: transient route failures retry with
-// decorrelated-jitter backoff, each retry paying one token from the
-// transport's shared budget (the same pool hedges draw from). Failure
-// degrades the review — the same graceful-degradation contract as
-// chaos mode — with the reason mapped from the terminal error.
-func (c *Client) reviewMultiDirect(f *source.File) FileReview {
-	ms := c.multi
-	path, size := f.Path, len(f.Bytes)
-	ordinal := ms.mt.nextOrdinal()
+// reviewRouted runs one review through the routed transport under the
+// retry policy: transient route failures retry with decorrelated-jitter
+// backoff, each retry paying one token from the transport's shared
+// budget (the same pool hedges draw from). Failure degrades the review —
+// the same graceful-degradation contract as fault-profile mode — with
+// the reason mapped from the terminal error.
+func (c *Client) reviewRouted(f *source.File) FileReview {
+	mt := c.cfg.Multi
+	ordinal := mt.nextOrdinal()
 	budgetDenied := false
 	winner := ""
 	attempt := 0
-	policy := resilience.NewPolicy(ms.res.MaxAttempts,
-		resilience.WithDecorrelatedJitter(ms.res.BaseDelay, ms.res.MaxDelay),
+	policy := resilience.NewPolicy(mt.res.MaxAttempts,
+		resilience.WithDecorrelatedJitter(mt.res.BaseDelay, mt.res.MaxDelay),
 		resilience.WithRetryOn(func(err error) bool {
 			if !IsTransient(err) {
 				return false
 			}
-			if !ms.mt.takeToken() {
+			if !mt.takeToken() {
 				budgetDenied = true
 				c.reg.Counter("llm_retry_budget_exhausted_total").Inc()
 				return false
@@ -649,60 +664,28 @@ func (c *Client) reviewMultiDirect(f *source.File) FileReview {
 	// Backoff sleeps run on a per-review virtual clock; the route's own
 	// latency (hedge timers, real HTTP) is wall time.
 	reviewCtx := trace.With(context.Background(), trace.NewRun("llm-review"))
-	err := policy.DoSeeded(reviewCtx, pathSeed(path, c.cfg.Seed), func(ctx context.Context) error {
-		call := Call{Path: path, Ordinal: ordinal, Attempt: attempt, Bytes: size}
+	err := policy.DoSeeded(reviewCtx, pathSeed(f.Path, c.cfg.Seed), func(ctx context.Context) error {
+		call := Call{Path: f.Path, Ordinal: ordinal, Attempt: attempt, Bytes: len(f.Bytes)}
 		attempt++
-		name, rerr := ms.mt.Route(ctx, call)
+		name, rerr := mt.Route(ctx, call)
 		if rerr == nil {
 			winner = name
 		}
 		return rerr
 	})
-	ms.mt.tick()
-	retries := attempt - 1
-	if retries > 0 {
-		c.reg.Counter("llm_transport_retries_total").Add(int64(retries))
-	}
+	mt.tick()
+	reason := ""
 	if err != nil {
-		rev := c.degraded(path, size, multiDegradeReason(err, budgetDenied))
-		rev.Retries = retries
-		return rev
+		reason = degradeReason(err, budgetDenied)
 	}
-	rev := c.review(f)
-	rev.Retries = retries
-	rev.Backend = winner
-	return rev
+	return c.finish(f, attempt-1, winner, reason)
 }
 
-// Multi exposes the routed transport (nil outside multi-backend mode)
-// — for tests and reporting, the counterpart of Transport().
-func (c *Client) Multi() *MultiTransport {
-	if c.multi == nil {
-		return nil
-	}
-	return c.multi.mt
-}
-
-// multiDegradeReason maps a terminal routing error onto the Degraded*
-// vocabulary resilient.go established.
-func multiDegradeReason(err error, budgetDenied bool) string {
-	switch {
-	case errors.Is(err, ErrAllBreakersOpen):
-		return DegradedBreakerOpen
-	// CauseIsClass, not IsClass: the policy wraps the terminal error in
-	// an exhausted sentinel, and hinted 429s arrive wrapped too.
-	case errmodel.CauseIsClass(err, "MalformedCompletionException"):
-		return DegradedMalformed
-	case errmodel.CauseIsClass(err, "BackendOutageException"):
-		return DegradedOutage
-	// A cancellation terminal error means every launched attempt was
-	// abandoned (the caller's context died mid-route); calling that
-	// "retries-exhausted" would blame a backend nobody waited on.
-	case isCancellation(err):
-		return DegradedCancelled
-	case budgetDenied:
-		return DegradedBudget
-	default:
-		return DegradedRetries
-	}
+// pathSeed derives the per-review jitter seed from the file path, so
+// backoff delays are reproducible run to run yet uncorrelated file to
+// file.
+func pathSeed(path string, seed uint64) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(path))
+	return h.Sum64() ^ seed
 }

@@ -3,6 +3,7 @@ package llm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,17 @@ func (t fnTransport) Do(ctx context.Context, call Call) error { return t.fn(ctx,
 func memFile(t testing.TB) *source.File {
 	t.Helper()
 	return snapshotFile(t, "mem.go", []byte("package mem\n"))
+}
+
+// routed builds a multi-backend transport over specs for cfg, failing
+// the test on a spec error.
+func routed(t testing.TB, cfg Config, hedgeAfter time.Duration, specs ...BackendSpec) *MultiTransport {
+	t.Helper()
+	mt, err := NewMultiTransport(cfg, specs, hedgeAfter, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mt
 }
 
 // okTransport always succeeds.
@@ -107,10 +119,10 @@ func TestParseBackendsErrors(t *testing.T) {
 // failover counter incremented.
 func TestFailoverOnFailure(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Backends = []BackendSpec{
-		{Name: "primary", Kind: "sim", Transport: failTransport("BackendOutageException")},
-		{Name: "secondary", Kind: "sim", Transport: okTransport()},
-	}
+	cfg.Multi = routed(t, cfg, 0,
+		BackendSpec{Name: "primary", Kind: "sim", Transport: failTransport("BackendOutageException")},
+		BackendSpec{Name: "secondary", Kind: "sim", Transport: okTransport()},
+	)
 	reg := obs.NewRegistry()
 	c := NewClient(cfg).Instrument(reg)
 	rev := c.ReviewSnapshotAt(memFile(t), -1, 0)
@@ -132,10 +144,10 @@ func TestFailoverOnFailure(t *testing.T) {
 // review degrades with the outage reason instead of erroring out.
 func TestAllBackendsFailDegrades(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Backends = []BackendSpec{
-		{Name: "a", Kind: "sim", Transport: failTransport("BackendOutageException")},
-		{Name: "b", Kind: "sim", Transport: failTransport("BackendOutageException")},
-	}
+	cfg.Multi = routed(t, cfg, 0,
+		BackendSpec{Name: "a", Kind: "sim", Transport: failTransport("BackendOutageException")},
+		BackendSpec{Name: "b", Kind: "sim", Transport: failTransport("BackendOutageException")},
+	)
 	reg := obs.NewRegistry()
 	rev := NewClient(cfg).Instrument(reg).ReviewSnapshotAt(memFile(t), -1, 0)
 	if !rev.Degraded {
@@ -152,16 +164,11 @@ func TestAllBackendsFailDegrades(t *testing.T) {
 // counted against the budget.
 func TestHedgeBudgetBound(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.HedgeAfter = time.Millisecond
 	cfg.Resilience = ResilienceConfig{BudgetCapacity: 2, BudgetRefillEvery: -1}
-	cfg.Backends = []BackendSpec{
-		{Name: "primary", Kind: "sim", Transport: slowTransport(50 * time.Millisecond)},
-		{Name: "secondary", Kind: "sim", Transport: slowTransport(50 * time.Millisecond)},
-	}
-	mt, err := NewMultiTransport(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt := routed(t, cfg, time.Millisecond,
+		BackendSpec{Name: "primary", Kind: "sim", Transport: slowTransport(50 * time.Millisecond)},
+		BackendSpec{Name: "secondary", Kind: "sim", Transport: slowTransport(50 * time.Millisecond)},
+	)
 	reg := obs.NewRegistry()
 	mt.Instrument(reg)
 	const reviews = 6
@@ -190,16 +197,10 @@ func TestHedgeBudgetBound(t *testing.T) {
 // first — the hedge wins, the slow primary is cancelled, and the
 // cancellation is no verdict against the primary's breaker.
 func TestHedgeWinnerCancelsLoser(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HedgeAfter = time.Millisecond
-	cfg.Backends = []BackendSpec{
-		{Name: "primary", Kind: "sim", Transport: slowTransport(10 * time.Second)},
-		{Name: "secondary", Kind: "sim", Transport: okTransport()},
-	}
-	mt, err := NewMultiTransport(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt := routed(t, DefaultConfig(), time.Millisecond,
+		BackendSpec{Name: "primary", Kind: "sim", Transport: slowTransport(10 * time.Second)},
+		BackendSpec{Name: "secondary", Kind: "sim", Transport: okTransport()},
+	)
 	reg := obs.NewRegistry()
 	mt.Instrument(reg)
 	name, err := mt.Route(context.Background(), Call{Path: "mem.go"})
@@ -246,14 +247,10 @@ func TestAllBreakersOpen(t *testing.T) {
 		mu.Unlock()
 		return errmodel.New("BackendOutageException", "down")
 	}}
-	cfg.Backends = []BackendSpec{
-		{Name: "a", Kind: "sim", Transport: counting},
-		{Name: "b", Kind: "sim", Transport: counting},
-	}
-	mt, err := NewMultiTransport(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt := routed(t, cfg, 0,
+		BackendSpec{Name: "a", Kind: "sim", Transport: counting},
+		BackendSpec{Name: "b", Kind: "sim", Transport: counting},
+	)
 	reg := obs.NewRegistry()
 	mt.Instrument(reg)
 	clock := time.Duration(0)
@@ -278,7 +275,7 @@ func TestAllBreakersOpen(t *testing.T) {
 	if got := reg.Gauge("llm_backend_breaker_state", "backend", "a").Value(); got != 1 {
 		t.Errorf("breaker a state gauge = %v, want 1 (open)", got)
 	}
-	if multiDegradeReason(ErrAllBreakersOpen, false) != DegradedBreakerOpen {
+	if degradeReason(ErrAllBreakersOpen, false) != DegradedBreakerOpen {
 		t.Error("ErrAllBreakersOpen must map to the breaker-open degrade reason")
 	}
 }
@@ -293,7 +290,7 @@ func TestHalfOpenSingleProbeUnderConcurrency(t *testing.T) {
 	gate := make(chan struct{})
 	healthy := false
 	var mu sync.Mutex
-	cfg.Backends = []BackendSpec{{Name: "only", Kind: "sim", Transport: fnTransport{fn: func(ctx context.Context, _ Call) error {
+	mt := routed(t, cfg, 0, BackendSpec{Name: "only", Kind: "sim", Transport: fnTransport{fn: func(ctx context.Context, _ Call) error {
 		mu.Lock()
 		ok := healthy
 		mu.Unlock()
@@ -302,11 +299,7 @@ func TestHalfOpenSingleProbeUnderConcurrency(t *testing.T) {
 		}
 		<-gate
 		return nil
-	}}}}
-	mt, err := NewMultiTransport(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}}})
 	reg := obs.NewRegistry()
 	mt.Instrument(reg)
 	clock := time.Duration(0)
@@ -359,7 +352,6 @@ func TestHalfOpenSingleProbeUnderConcurrency(t *testing.T) {
 // the rest of the transport's (daemon-long) life.
 func TestHedgeSuppressionReleasesProbeSlot(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.HedgeAfter = time.Millisecond
 	cfg.Resilience = ResilienceConfig{BreakerThreshold: 1, BreakerCooldown: 5 * time.Second, BudgetCapacity: 1, BudgetRefillEvery: -1}
 	healthy := false
 	var mu sync.Mutex
@@ -371,14 +363,10 @@ func TestHedgeSuppressionReleasesProbeSlot(t *testing.T) {
 		}
 		return nil
 	}}
-	cfg.Backends = []BackendSpec{
-		{Name: "primary", Kind: "sim", Transport: slowTransport(30 * time.Millisecond)},
-		{Name: "secondary", Kind: "sim", Transport: secondary},
-	}
-	mt, err := NewMultiTransport(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt := routed(t, cfg, time.Millisecond,
+		BackendSpec{Name: "primary", Kind: "sim", Transport: slowTransport(30 * time.Millisecond)},
+		BackendSpec{Name: "secondary", Kind: "sim", Transport: secondary},
+	)
 	reg := obs.NewRegistry()
 	mt.Instrument(reg)
 	clock := time.Duration(0)
@@ -427,7 +415,7 @@ func TestHedgeSuppressionReleasesProbeSlot(t *testing.T) {
 // flight share the leader's answer; late callers start fresh; shared
 // copies do not alias the leader's findings slice.
 func TestFlightCoalesces(t *testing.T) {
-	f := NewFlight()
+	f := &flight{calls: make(map[string]*flightCall)}
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	leaderRev := FileReview{File: "x.go", Findings: []Finding{{Coordinator: "w"}}}
@@ -489,8 +477,7 @@ func TestClientSingleflightSharesOneCall(t *testing.T) {
 	calls := 0
 	var mu sync.Mutex
 	cfg := DefaultConfig()
-	cfg.Flight = NewFlight()
-	cfg.Backends = []BackendSpec{{Name: "only", Kind: "sim", Transport: fnTransport{fn: func(context.Context, Call) error {
+	cfg.Multi = routed(t, cfg, 0, BackendSpec{Name: "only", Kind: "sim", Transport: fnTransport{fn: func(context.Context, Call) error {
 		mu.Lock()
 		calls++
 		first := calls == 1
@@ -500,7 +487,7 @@ func TestClientSingleflightSharesOneCall(t *testing.T) {
 			<-release
 		}
 		return nil
-	}}}}
+	}}})
 	reg := obs.NewRegistry()
 	c := NewClient(cfg).Instrument(reg)
 
@@ -547,16 +534,16 @@ func TestFingerprintCoversTopology(t *testing.T) {
 		t.Errorf("default fingerprint mentions backends: %q", base)
 	}
 	cfg := DefaultConfig()
-	var err error
-	cfg.Backends, err = ParseBackends("primary=sim:outage;secondary=sim")
+	specs, err := ParseBackends("primary=sim:outage;secondary=sim")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Multi = routed(t, DefaultConfig(), 0, specs...)
 	fp1 := cfg.Fingerprint()
 	if fp1 == base {
 		t.Error("topology did not change the fingerprint")
 	}
-	cfg.HedgeAfter = 50 * time.Millisecond
+	cfg.Multi = routed(t, DefaultConfig(), 50*time.Millisecond, specs...)
 	if cfg.Fingerprint() == fp1 {
 		t.Error("hedge threshold did not change the fingerprint")
 	}
@@ -567,14 +554,38 @@ func TestFingerprintCoversTopology(t *testing.T) {
 func TestMultiBackendZeroRetriesKeepsBudgetFull(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Resilience = ResilienceConfig{BudgetCapacity: 4, BudgetRefillEvery: -1}
-	cfg.Backends = []BackendSpec{{Name: "only", Kind: "sim", Transport: okTransport()}}
+	mt := routed(t, cfg, 0, BackendSpec{Name: "only", Kind: "sim", Transport: okTransport()})
+	cfg.Multi = mt
 	c := NewClient(cfg).Instrument(obs.NewRegistry())
 	for i := 0; i < 5; i++ {
 		if rev := c.ReviewSnapshotAt(memFile(t), -1, 0); rev.Degraded || rev.Retries != 0 {
 			t.Fatalf("healthy review %d: %+v", i, rev)
 		}
 	}
-	if got := c.Multi().Budget().Remaining(); got != 4 {
+	if got := mt.Budget().Remaining(); got != 4 {
 		t.Errorf("budget remaining = %d, want untouched 4", got)
+	}
+}
+
+// TestRoutedFaultsCounted: a routed sim backend with a fault profile
+// counts its injected faults like a fault-profile client does. Without
+// hedging every failed call on a single backend is one injected fault,
+// so the fault counter must equal the backend's failure counter.
+func TestRoutedFaultsCounted(t *testing.T) {
+	specs, err := ParseBackends("p=sim:heavy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Resilience = ResilienceConfig{BreakerThreshold: 1000}
+	cfg.Multi = routed(t, cfg, 0, specs...)
+	reg := obs.NewRegistry()
+	c := NewClient(cfg).Instrument(reg)
+	for i := 0; i < 30; i++ {
+		c.ReviewSnapshotAt(snapshotFile(t, fmt.Sprintf("f%d.go", i), []byte("package mem\n")), -1, 0)
+	}
+	failures := reg.Counter("llm_backend_failures_total", "backend", "p").Value()
+	if faults := faultsCounted(reg); faults != failures || faults == 0 {
+		t.Errorf("faults counted = %d, backend failures = %d; want equal and above 0", faults, failures)
 	}
 }

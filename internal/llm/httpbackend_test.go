@@ -197,11 +197,11 @@ func TestRoutedHTTPFailover(t *testing.T) {
 	dead.Close()
 
 	cfg := DefaultConfig()
-	var err error
-	cfg.Backends, err = ParseBackends("primary=http:" + deadURL + ";secondary=http:" + good.URL)
+	specs, err := ParseBackends("primary=http:" + deadURL + ";secondary=http:" + good.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Multi = routed(t, cfg, 0, specs...)
 	rev := NewClient(cfg).ReviewSnapshotAt(memFile(t), -1, 0)
 	if rev.Degraded {
 		t.Fatalf("review degraded: %+v", rev)

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"go/ast"
 	"hash/fnv"
-	"log/slog"
 	"strings"
 	"sync"
 	"time"
@@ -63,39 +62,22 @@ type Config struct {
 	// the machinery without injecting anything — output must then be
 	// byte-identical to the nil case.
 	Fault *FaultProfile
-	// Resilience tunes the retry policy, shared retry budget and circuit
-	// breaker used when Fault is set; zero fields take the
-	// DefaultResilienceConfig values.
+	// Resilience tunes the shared retry budget, circuit breaker and
+	// attempt cap used when Fault is set; zero fields take the
+	// DefaultResilienceConfig values. A MultiTransport carries its own.
 	Resilience ResilienceConfig
 
-	// Backends, when non-empty, routes reviews across an ordered
-	// multi-backend topology (backends.go): per-backend circuit breakers,
-	// health-gated failover, and optional hedging. Mutually exclusive
-	// with Fault — a topology models per-backend fault profiles on its
-	// own specs. Empty keeps the single-backend behaviour byte-identical.
-	Backends []BackendSpec
-	// HedgeAfter, when > 0 and more than one backend is healthy, launches
-	// a hedged attempt on the next backend after this much wall time
-	// without an answer. Hedges draw from the shared retry budget.
-	HedgeAfter time.Duration
-	// Multi, when non-nil, is a pre-built shared transport (e.g. one per
-	// daemon process, so backend health and the shared budget span jobs).
-	// Callers setting Multi should set Backends to the same topology so
-	// Fingerprint stays truthful.
+	// Multi, when non-nil, routes reviews across the multi-backend
+	// topology it was built with (backends.go, NewMultiTransport):
+	// per-backend circuit breakers, health-gated failover, optional
+	// hedging and singleflight coalescing. Share one transport across
+	// clients (wasabid holds one per process) so backend health and the
+	// shared budget span jobs. Routed mode trades canonical-order
+	// admission for availability, so e.g. the review cache must stay off.
+	// Mutually exclusive with Fault — a topology models per-backend fault
+	// profiles on its own specs. Nil keeps the single-backend behaviour
+	// byte-identical.
 	Multi *MultiTransport
-	// Flight, when non-nil, coalesces identical in-flight reviews across
-	// every client sharing it (singleflight).
-	Flight *Flight
-	// Log receives structured failover/hedge/breaker decision events;
-	// nil discards them.
-	Log *slog.Logger
-}
-
-// MultiBackend reports whether reviews route through the multi-backend
-// layer (which trades canonical-order admission for availability, so
-// e.g. the review cache must stay off).
-func (c Config) MultiBackend() bool {
-	return c.Multi != nil || len(c.Backends) > 0
 }
 
 // PromptVersion identifies the revision of the Q1–Q4 prompt chain baked
@@ -119,11 +101,8 @@ func (c Config) Fingerprint() string {
 	if c.Fault != nil {
 		fp += "|fault=" + c.Fault.String()
 	}
-	if len(c.Backends) > 0 {
-		fp += "|backends=" + backendsString(c.Backends)
-		if c.HedgeAfter > 0 {
-			fp += "|hedge=" + c.HedgeAfter.String()
-		}
+	if c.Multi != nil {
+		fp += "|backends=" + c.Multi.topology
 	}
 	return fp
 }
@@ -150,10 +129,6 @@ type Client struct {
 	// chaos is the resilience stack (resilient.go); nil without a fault
 	// profile, in which case reviews hit the model directly.
 	chaos *chaosState
-	// multi is the multi-backend routing state (backends.go); nil unless
-	// Config.Backends or Config.Multi is set. multi and chaos are
-	// mutually exclusive (multi wins).
-	multi *multiState
 
 	mu       sync.Mutex
 	calls    int
@@ -169,10 +144,7 @@ func NewClient(cfg Config) *Client {
 		cfg.PricePerMTokens = DefaultConfig().PricePerMTokens
 	}
 	c := &Client{cfg: cfg}
-	switch {
-	case cfg.MultiBackend():
-		c.multi = c.newMultiState()
-	case cfg.Fault != nil:
+	if cfg.Fault != nil && cfg.Multi == nil {
 		c.chaos = c.newChaosState(*cfg.Fault)
 	}
 	return c
@@ -189,10 +161,10 @@ func (c *Client) Instrument(reg *obs.Registry) *Client {
 	if c.chaos != nil {
 		c.chaos.instrument(c)
 	}
-	if c.multi != nil {
+	if c.cfg.Multi != nil {
 		// First registry wins on a shared transport; per-job clients in
 		// the daemon all pass the same one.
-		c.multi.mt.Instrument(reg)
+		c.cfg.Multi.Instrument(reg)
 	}
 	return c
 }
@@ -307,7 +279,7 @@ type FileReview struct {
 // shared state, and it is only ever added to.
 func (c *Client) ReviewSnapshotAt(f *source.File, lane, idx int) FileReview {
 	switch {
-	case c.multi != nil:
+	case c.cfg.Multi != nil:
 		return c.reviewMulti(f)
 	case c.chaos != nil:
 		return c.reviewChaos(f, lane, idx)

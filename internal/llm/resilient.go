@@ -1,30 +1,32 @@
-// resilient.go is the client's resilience stack: when a fault profile is
-// configured (Config.Fault), every review is admitted through a shared
-// retry Budget and a circuit Breaker, executed against the FaultyTransport
-// under a decorrelated-jitter retry Policy, and — when the backend cannot
-// be made to answer — degraded instead of failed, so the pipeline falls
-// back to its static-only workflow (the paper's non-LLM techniques keep
-// working when GPT-4 does not).
+// resilient.go is the client's resilience stack for a fault profile
+// (Config.Fault): every review is admitted through a shared retry Budget
+// and a circuit Breaker, delivered against the FaultyTransport attempt by
+// attempt, and — when the backend cannot be made to answer — degraded
+// instead of failed, so the pipeline falls back to its static-only
+// workflow (the paper's non-LLM techniques keep working when GPT-4 does
+// not). Routed mode (Config.Multi, backends.go) is the only one that runs
+// a resilience.Policy; both modes end in the same review tail, finish.
 //
 // Determinism contract. The pipeline promises byte-identical output at
 // every worker count, which a naively shared budget/breaker would break:
 // whichever goroutine reached the empty bucket first would lose. Instead
-// every review settles its admission inside Budget.Claim, which serializes
+// every review is settled whole inside Budget.Claim, which serializes
 // settlements in canonical (lane, idx) corpus order. The settle callback
-// dry-runs the transport's fault schedule (a pure function of seed, path
-// and attempt), decides the retry grant and the outcome, and updates the
-// breaker — all before any concurrent execution can interleave. The real
-// retry loop then replays the same schedule outside the lock and must
-// reach the same outcome. All timing is virtual: backoff sleeps run on a
-// per-review trace.Run, and the breaker cooldown runs on a run-wide
-// admission clock advanced per settlement.
+// consults the breaker, then calls the transport once per attempt — its
+// fault schedule is a pure function of seed, path, ordinal and attempt —
+// spending one granted token per transient fault, and records the outcome
+// on the breaker, all before any concurrent review can interleave. No
+// retry loop runs afterwards: the outcome is final at admission. All
+// timing is virtual: each settlement advances a run-wide admission clock,
+// which drives the breaker cooldown.
 package llm
 
 import (
 	"context"
-	"hash/fnv"
+	"errors"
 	"time"
 
+	"wasabi/internal/errmodel"
 	"wasabi/internal/resilience"
 	"wasabi/internal/source"
 	"wasabi/internal/trace"
@@ -54,15 +56,41 @@ const (
 	DegradedCancelled = "cancelled"
 )
 
-// ResilienceConfig tunes the retry/budget/breaker stack used when a fault
-// profile is configured. Zero fields take the DefaultResilienceConfig
-// values.
+// degradeReason maps a review's terminal delivery error onto the
+// Degraded* vocabulary; budgetDenied reports that the shared budget
+// refused the retry a transient fault wanted.
+func degradeReason(err error, budgetDenied bool) string {
+	switch {
+	case errors.Is(err, ErrAllBreakersOpen):
+		return DegradedBreakerOpen
+	// CauseIsClass, not IsClass: the routed policy wraps the terminal
+	// error in an exhausted sentinel, and hinted 429s arrive wrapped too.
+	case errmodel.CauseIsClass(err, "MalformedCompletionException"):
+		return DegradedMalformed
+	case errmodel.CauseIsClass(err, "BackendOutageException"):
+		return DegradedOutage
+	// A cancellation terminal error means every launched attempt was
+	// abandoned (the caller's context died mid-route); calling that
+	// "retries-exhausted" would blame a backend nobody waited on.
+	case isCancellation(err):
+		return DegradedCancelled
+	case budgetDenied:
+		return DegradedBudget
+	default:
+		return DegradedRetries
+	}
+}
+
+// ResilienceConfig tunes the retry/budget/breaker stack: the client's
+// when a fault profile is configured, a MultiTransport's for routed
+// reviews. Zero fields take the DefaultResilienceConfig values.
 type ResilienceConfig struct {
 	// MaxAttempts bounds delivery attempts per review (so MaxAttempts-1
 	// retries), independent of the shared budget.
 	MaxAttempts int
 	// BaseDelay and MaxDelay bound the decorrelated-jitter backoff
-	// between attempts (virtual time).
+	// between routed-mode attempts (virtual time). Fault-profile reviews
+	// settle at admission and never sleep.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
 	// BudgetCapacity is the size of the retry token bucket shared across
@@ -191,135 +219,70 @@ func (c *Client) OpenLane(lane, claims int) {
 	c.chaos.budget.OpenLane(lane, claims)
 }
 
-// admission is the settle-time decision for one review.
-type admission struct {
-	ordinal int    // canonical arrival index (outage windows key on it)
-	granted int    // retry tokens granted from the shared budget
-	skip    bool   // breaker open: do not touch the backend at all
-	reason  string // degradation reason; "" means the review will succeed
-}
-
-// admit settles the review's claim against the shared budget and breaker,
-// in canonical order. All decisions are made here, under the budget lock,
-// from the transport's pure fault schedule — the concurrent execution
-// that follows merely replays them.
-func (c *Client) admit(path string, lane, idx int) admission {
+// reviewChaos runs one review through the resilience stack and returns
+// its settled outcome: a Degraded FileReview (never an error) when the
+// backend cannot complete it, so the caller falls back to static-only
+// analysis for that file.
+//
+// The whole delivery happens inside the canonical Budget.Claim: the
+// breaker admits or skips the review, then each attempt calls the
+// transport. A transient fault spends one granted token and retries; a
+// permanent fault, the attempt cap or an empty bucket ends the review.
+// Admission and delivery depend only on (path, size); the bytes matter
+// only to the review itself.
+func (c *Client) reviewChaos(f *source.File, lane, idx int) FileReview {
 	ch := c.chaos
-	var ad admission
+	retries, reason := 0, ""
 	ch.budget.Claim(lane, idx, func(avail, seq int) int {
-		ad.ordinal = seq
-		now := vclock.Now(ch.admCtx)
-		if !ch.breaker.Allow(now) {
-			ad.skip = true
-			ad.reason = DegradedBreakerOpen
+		if !ch.breaker.Allow(vclock.Now(ch.admCtx)) {
+			reason = DegradedBreakerOpen
 			vclock.Elapse(ch.admCtx, skipLatency)
 			return 0
 		}
-		plan := ch.transport.planFor(path, seq, ch.res.MaxAttempts)
-		ad.granted = plan.retriesWanted
-		if ad.granted > avail {
-			ad.granted = avail
-			c.reg.Counter("llm_retry_budget_exhausted_total").Inc()
+		var err error
+		budgetDenied := false
+		for attempt := 0; ; attempt++ {
+			err = ch.transport.Do(ch.admCtx, Call{Path: f.Path, Ordinal: seq, Attempt: attempt, Bytes: len(f.Bytes)})
+			if err == nil || !IsTransient(err) || attempt+1 >= ch.res.MaxAttempts {
+				break
+			}
+			if retries == avail {
+				budgetDenied = true
+				c.reg.Counter("llm_retry_budget_exhausted_total").Inc()
+				break
+			}
+			retries++
 		}
-		switch {
-		case plan.permanent == FaultOutage:
-			ad.reason = DegradedOutage
-		case ad.granted < plan.retriesWanted:
-			ad.reason = DegradedBudget
-		case plan.permanent == FaultMalformed:
-			ad.reason = DegradedMalformed
-		case !plan.delivered:
-			ad.reason = DegradedRetries
-		}
-		vclock.Elapse(ch.admCtx, time.Duration(ad.granted+1)*attemptLatency)
-		if ad.reason == "" {
-			ch.breaker.RecordSuccess()
-		} else {
+		vclock.Elapse(ch.admCtx, time.Duration(retries+1)*attemptLatency)
+		if err != nil {
+			reason = degradeReason(err, budgetDenied)
 			ch.breaker.RecordFailure(vclock.Now(ch.admCtx))
+		} else {
+			ch.breaker.RecordSuccess()
 		}
-		return ad.granted
+		return retries
 	})
-	return ad
+	return c.finish(f, retries, "", reason)
 }
 
-// reviewChaos runs one review through the resilience stack: admission in
-// canonical order, then the real retry loop against the faulty transport
-// on a per-review virtual clock. A review the backend cannot complete
-// returns a Degraded FileReview (never an error): the caller falls back
-// to static-only analysis for that file. Admission and delivery depend
-// only on (path, size); the bytes matter only to the review itself.
-func (c *Client) reviewChaos(f *source.File, lane, idx int) FileReview {
-	ch := c.chaos
-	path, size := f.Path, len(f.Bytes)
-	ad := c.admit(path, lane, idx)
-	if ad.skip {
-		return c.degraded(path, size, ad.reason)
-	}
-
-	// Real delivery: bounded attempts, decorrelated-jitter backoff seeded
-	// by the file path, retries capped by the granted allowance. The
-	// transport replays the same fault schedule the admission dry-ran.
-	allowance := ad.granted
-	policy := resilience.NewPolicy(ch.res.MaxAttempts,
-		resilience.WithDecorrelatedJitter(ch.res.BaseDelay, ch.res.MaxDelay),
-		resilience.WithRetryOn(func(err error) bool {
-			if !IsTransient(err) || allowance <= 0 {
-				return false
-			}
-			allowance--
-			return true
-		}))
-	attempt := 0
-	reviewCtx := trace.With(context.Background(), trace.NewRun("llm-review"))
-	err := policy.DoSeeded(reviewCtx, pathSeed(path, c.cfg.Seed), func(ctx context.Context) error {
-		call := Call{Path: path, Ordinal: ad.ordinal, Attempt: attempt, Bytes: size}
-		attempt++
-		return ch.transport.Do(ctx, call)
-	})
-	retries := attempt - 1
+// finish is the review tail shared by both resilient modes: it counts the
+// review's retries, then degrades it with reason or, when reason is
+// empty, answers it through the prompt chain, stamping the scheduling
+// facts (Retries, and the answering backend in routed mode). A degraded
+// review resends nothing and charges nothing — Spent stays zero — which
+// is what keeps §4.3 cost accounting stable under chaos.
+func (c *Client) finish(f *source.File, retries int, backend, reason string) FileReview {
 	if retries > 0 {
 		c.reg.Counter("llm_transport_retries_total").Add(int64(retries))
 	}
-	if err != nil {
-		reason := ad.reason
-		if reason == "" {
-			// Execution disagreed with the admission dry-run; that would
-			// be a bug, but degrade honestly rather than panic.
-			reason = DegradedRetries
-		}
-		rev := c.degraded(path, size, reason)
-		rev.Retries = retries
-		return rev
+	var rev FileReview
+	if reason != "" {
+		c.reg.Counter("llm_degraded_reviews_total", "reason", reason).Inc()
+		rev = FileReview{File: basename(f.Path), Size: len(f.Bytes), Degraded: true, DegradedReason: reason}
+	} else {
+		rev = c.review(f)
+		rev.Backend = backend
 	}
-	rev := c.review(f)
 	rev.Retries = retries
 	return rev
-}
-
-// degraded builds the review record for a file the backend never
-// successfully reviewed. Spent stays zero — a degraded review resends
-// nothing and charges nothing, which is what keeps §4.3 cost accounting
-// stable under chaos.
-func (c *Client) degraded(path string, size int, reason string) FileReview {
-	base := basename(path)
-	c.reg.Counter("llm_degraded_reviews_total", "reason", reason).Inc()
-	return FileReview{File: base, Size: size, Degraded: true, DegradedReason: reason}
-}
-
-// pathSeed derives the per-review jitter seed from the file path, so
-// backoff delays are reproducible run to run yet uncorrelated file to
-// file.
-func pathSeed(path string, seed uint64) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(path))
-	return h.Sum64() ^ seed
-}
-
-// Transport exposes the fault-injecting transport (nil when no fault
-// profile is configured) — for tests and reporting.
-func (c *Client) Transport() *FaultyTransport {
-	if c.chaos == nil {
-		return nil
-	}
-	return c.chaos.transport
 }

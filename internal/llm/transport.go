@@ -235,9 +235,6 @@ func (t *FaultyTransport) Instrument(reg *obs.Registry) *FaultyTransport {
 	return t
 }
 
-// Profile returns the transport's fault profile.
-func (t *FaultyTransport) Profile() FaultProfile { return t.profile }
-
 // Do injects the profile's faults; calls that draw no fault are delivered
 // through the inner transport.
 func (t *FaultyTransport) Do(ctx context.Context, call Call) error {
@@ -288,39 +285,6 @@ func (t *FaultyTransport) faultAt(path string, ordinal, attempt int) string {
 		return FaultMalformed
 	}
 	return ""
-}
-
-// plan is the dry-run of a review's delivery attempts, computed during
-// budget settlement so grant decisions and outcomes are fixed in
-// canonical order before any concurrent execution.
-type transportPlan struct {
-	// retriesWanted is how many retry tokens the review needs: the index
-	// of the first fault-free delivery, capped at maxAttempts-1.
-	retriesWanted int
-	// delivered reports whether a completion arrives within maxAttempts.
-	delivered bool
-	// permanent is the permanent fault kind drawn ("" if none): "outage"
-	// fails before delivery, "malformed" fails at delivery.
-	permanent string
-}
-
-// planFor computes the transport plan for one review.
-func (t *FaultyTransport) planFor(path string, ordinal, maxAttempts int) transportPlan {
-	p := t.profile
-	if p.HardOutage || (p.OutageAfterFiles > 0 && ordinal >= p.OutageAfterFiles) {
-		return transportPlan{permanent: FaultOutage}
-	}
-	for a := 0; a < maxAttempts; a++ {
-		kind := t.faultAt(path, ordinal, a)
-		switch kind {
-		case "":
-			return transportPlan{retriesWanted: a, delivered: true}
-		case FaultMalformed:
-			return transportPlan{retriesWanted: a, delivered: true, permanent: FaultMalformed}
-		}
-		// Transient: burn a retry and try the next attempt.
-	}
-	return transportPlan{retriesWanted: maxAttempts - 1}
 }
 
 // bucket is the transport's deterministic 1-in-denom draw.

@@ -85,55 +85,6 @@ func TestFaultyTransportDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlanMatchesExecution replays every plan against Do and checks the
-// dry-run (used for budget settlement) agrees with real execution: same
-// number of transient failures before delivery, same permanent outcome.
-func TestPlanMatchesExecution(t *testing.T) {
-	profile := FaultProfile{TimeoutDenom: 3, RateLimitDenom: 4, ServerErrorDenom: 5, MalformedDenom: 6, OutageAfterFiles: 150}
-	tr := NewFaultyTransport(nil, profile, 7)
-	const maxAttempts = 4
-	for i := 0; i < 200; i++ {
-		path := "p/f" + string(rune('0'+i%10)) + string(rune('a'+i%26)) + ".go"
-		plan := tr.planFor(path, i, maxAttempts)
-		var lastErr error
-		attempts := 0
-		for a := 0; a < maxAttempts; a++ {
-			attempts++
-			lastErr = tr.Do(context.Background(), Call{Path: path, Ordinal: i, Attempt: a})
-			if lastErr == nil || !IsTransient(lastErr) {
-				break
-			}
-		}
-		switch {
-		case plan.permanent == FaultOutage:
-			if !errmodel.IsClass(lastErr, "BackendOutageException") {
-				t.Fatalf("%s ordinal %d: plan says outage, Do returned %v", path, i, lastErr)
-			}
-		case plan.permanent == FaultMalformed:
-			if !errmodel.IsClass(lastErr, "MalformedCompletionException") {
-				t.Fatalf("%s: plan says malformed, Do returned %v", path, lastErr)
-			}
-			if attempts-1 != plan.retriesWanted {
-				t.Fatalf("%s: malformed after %d retries, plan wanted %d", path, attempts-1, plan.retriesWanted)
-			}
-		case plan.delivered:
-			if lastErr != nil {
-				t.Fatalf("%s: plan says delivered, Do returned %v", path, lastErr)
-			}
-			if attempts-1 != plan.retriesWanted {
-				t.Fatalf("%s: delivered after %d retries, plan wanted %d", path, attempts-1, plan.retriesWanted)
-			}
-		default: // transient exhaustion
-			if lastErr == nil || !IsTransient(lastErr) {
-				t.Fatalf("%s: plan says exhausted, Do returned %v", path, lastErr)
-			}
-			if plan.retriesWanted != maxAttempts-1 {
-				t.Fatalf("%s: exhausted plan wants %d retries", path, plan.retriesWanted)
-			}
-		}
-	}
-}
-
 func TestIsTransientClassification(t *testing.T) {
 	cases := []struct {
 		class string

@@ -12,11 +12,13 @@
 // implements inline (which is precisely what makes WASABI's identification
 // problem hard).
 //
-// Since PR 3 the pipeline also dogfoods the library on its hottest
-// dependency: the simulated LLM backend (internal/llm) retries transient
-// transport faults through a Policy with decorrelated-jitter backoff,
-// draws retries from a Budget shared across concurrent reviews, and trips
-// a Breaker when the backend browns out — all timing stays virtual
+// The pipeline also dogfoods the library on its hottest dependency, the
+// simulated LLM backend (internal/llm). A fault-profile client settles
+// each review at admission: it draws retries from a Budget shared across
+// concurrent reviews and trips a Breaker when the backend browns out,
+// with no Policy involved. Only routed reviews (llm.MultiTransport) retry
+// through a Policy with decorrelated-jitter backoff, on per-backend
+// Breakers and the same kind of shared Budget. All timing stays virtual
 // (internal/vclock), so chaos experiments are deterministic and fast.
 package resilience
 

@@ -157,12 +157,11 @@ type Server struct {
 	runJob func(*job)
 	// log receives structured events (never nil; defaults to discard).
 	log *slog.Logger
-	// llmMulti and llmFlight are the daemon-lifetime multi-backend
-	// transport and singleflight group (nil without LLMBackends): one of
-	// each per process, shared by every job, so backend health outlives
-	// jobs and identical concurrent reviews coalesce across tenants.
-	llmMulti  *llm.MultiTransport
-	llmFlight *llm.Flight
+	// llmMulti is the daemon-lifetime multi-backend transport (nil
+	// without LLMBackends): one per process, shared by every job, so
+	// backend health outlives jobs and its singleflight group coalesces
+	// identical concurrent reviews across tenants.
+	llmMulti *llm.MultiTransport
 	// traces retains completed jobs' span trees (tracering.go).
 	traces *traceRing
 	// started is stamped by Start; server_uptime_seconds derives from it.
@@ -240,18 +239,13 @@ func New(cfg Config) *Server {
 	}
 	s.runJob = s.run
 	if len(cfg.LLMBackends) > 0 {
-		lcfg := llm.DefaultConfig()
-		lcfg.Backends = cfg.LLMBackends
-		lcfg.HedgeAfter = cfg.LLMHedgeAfter
-		lcfg.Log = log
-		mt, err := llm.NewMultiTransport(lcfg)
+		mt, err := llm.NewMultiTransport(llm.DefaultConfig(), cfg.LLMBackends, cfg.LLMHedgeAfter, log)
 		if err != nil {
 			// Specs come from ParseBackends (cmd/wasabid validates the
 			// flag); reaching here is programmer error.
 			panic(err)
 		}
 		s.llmMulti = mt.Instrument(cfg.Obs.Reg())
-		s.llmFlight = llm.NewFlight()
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -356,19 +350,8 @@ func (s *Server) run(j *job) {
 	opts.Obs = s.obs.WithTracer(tr)
 	opts.Cache = s.cfg.Cache
 	opts.Source = s.source
-	switch {
-	case s.llmMulti != nil:
-		// Backends is set alongside Multi so the per-job client's
-		// fingerprint reflects the topology; the shared transport and
-		// flight group carry the cross-job state.
-		opts.LLM.Backends = s.cfg.LLMBackends
-		opts.LLM.HedgeAfter = s.cfg.LLMHedgeAfter
-		opts.LLM.Multi = s.llmMulti
-		opts.LLM.Flight = s.llmFlight
-		opts.LLM.Log = s.log
-	case s.cfg.Fault != nil:
-		opts.LLM.Fault = s.cfg.Fault
-	}
+	opts.LLM.Multi = s.llmMulti
+	opts.LLM.Fault = s.cfg.Fault
 	w := core.New(opts)
 	cr, err := w.RunCorpus(j.apps)
 

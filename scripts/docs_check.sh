@@ -43,6 +43,9 @@
 #      emitted by a non-test Go source of the main module — a metric
 #      deleted from the code must leave the catalog too. Render-time
 #      "_quantile" summaries count as emitted when their histogram is.
+#  13. Every -llm-* flag named in README.md or docs/*.md is defined by a
+#      flag.* call in cmd/wasabi or cmd/wasabid — a removed flag must
+#      leave the docs too.
 #
 # Exits non-zero listing every violation; run via `make docs-check`.
 set -u
@@ -173,6 +176,13 @@ for metric in $(sed -n '/^## Metric catalog/,/^## /p' docs/OBSERVABILITY.md |
 	esac
 	grep -qF "\"$name\"" $gosrc ||
 		err "metric $metric is cataloged in docs/OBSERVABILITY.md but no non-test Go source emits it"
+done
+
+# 13. Every documented -llm-* flag must be defined by a binary.
+defined=$(grep -hoE 'flag\.[A-Za-z]+\("llm-[a-z-]+"' cmd/wasabi/main.go cmd/wasabid/main.go | grep -oE 'llm-[a-z-]+' | sort -u)
+for flag in $(grep -hoE '(^|[^A-Za-z0-9_-])-llm-[a-z-]*[a-z]' README.md docs/*.md | grep -oE 'llm-[a-z-]+' | sort -u); do
+	echo "$defined" | grep -qx -- "$flag" ||
+		err "flag -$flag is named in README.md or docs/*.md but not defined in cmd/wasabi or cmd/wasabid"
 done
 
 if [ "$fail" -ne 0 ]; then
