@@ -28,16 +28,15 @@ fmt-check:
 race:
 	$(GO) test -race ./internal/core/... ./internal/testkit/... ./internal/fault/... ./internal/trace/... ./internal/obs/... ./internal/cache/... ./internal/server/... ./internal/source/...
 
-## bench: run the pipeline benchmarks (sequential vs parallel), the
+## bench: run the pipeline benchmarks (sequential vs parallel) and the
 ## snapshot-store microbenchmarks (cold vs warm load,
-## docs/PERFORMANCE.md), and the generated-corpus scale sweep —
-## cold/warm pipeline cost over 1x and 10x synthetic corpora
-## (docs/CORPUSGEN.md), recorded in BENCH_pipeline.json's scale_sweep
-## section. The sweep runs here only, never in ci.
+## docs/PERFORMANCE.md), then the repository benchmark — perfbench's
+## seed-cold, gen-edit and serve-mix workloads at seed 1, each for its
+## default measured interval (perfbench/README.md). Never part of ci.
 bench:
 	$(GO) test -bench 'BenchmarkPipeline' -benchmem -run '^$$' .
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/source/
-	$(GO) run ./cmd/benchreport -scale-sweep -only cost
+	for w in seed-cold gen-edit serve-mix; do bash perfbench/run.sh --workload $$w --seed 1 || exit 1; done
 
 ## gen-smoke: generate a 10x synthetic corpus into a temp dir and push
 ## it through the static-only pipeline — every emitted file must parse,

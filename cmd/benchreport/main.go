@@ -5,56 +5,24 @@
 //
 //	benchreport                  # everything
 //	benchreport -only table3     # one artifact: table1..table6, figure3,
-//	                             # figure4, study, if, cost, ablation
+//	                             # figure4, study, if, cost, ablation,
+//	                             # oracles
 //	benchreport -workers 1       # force the sequential pipeline (tables
 //	                             # are byte-identical at any worker count)
-//
-// Every run that executes the pipeline also instruments it
-// (docs/OBSERVABILITY.md) and rolls the metrics snapshot up into
-// BENCH_pipeline.json — stage → {wall_ms, count, tokens} — so the bench
-// trajectory is machine-readable; -pipeline-out renames the artifact,
-// -pipeline-out "" disables it. The stage stats come from the run's own
-// metrics registry rather than being recomputed from results. The
-// artifact also carries the cold-vs-warm analysis-cache comparison
-// (docs/SERVICE.md): a second full-corpus run against a populated cache,
-// with its wall time, fresh token spend and hit/miss counts — and, since
-// v4, the multi-tenant scheduler load benchmark (docs/SCHEDULING.md):
-// simulated tenants hammering an in-process wasabid, with throughput
-// and wait/run latency quantiles.
-//
-// -scale-sweep additionally generates synthetic corpora with
-// internal/corpusgen at 1× and 10× the seed scale and measures cold and
-// warm full runs over each (the v5 scale_sweep section, see
-// docs/CORPUSGEN.md). The sweep analyzes hundreds of generated apps, so
-// it is off by default and requested only by `make bench`.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
-	"time"
 
-	"wasabi/internal/apps/corpus"
-	"wasabi/internal/cache"
 	"wasabi/internal/core"
-	"wasabi/internal/corpusgen"
 	"wasabi/internal/evaluation"
-	"wasabi/internal/llm"
-	"wasabi/internal/obs"
-	"wasabi/internal/sast"
-	"wasabi/internal/server"
-	"wasabi/internal/source"
 )
 
 func main() {
 	only := flag.String("only", "", "render a single artifact")
 	workers := flag.Int("workers", 0, "worker pool size; 0 = one per CPU, 1 = sequential")
-	pipelineOut := flag.String("pipeline-out", "BENCH_pipeline.json", "write the per-stage pipeline report (JSON) here; empty disables")
-	scaleSweep := flag.Bool("scale-sweep", false, "also measure cold/warm runs over generated corpora at 1x and 10x scale (slow; `make bench` only)")
 	flag.Parse()
 
 	static := map[string]func() string{
@@ -69,57 +37,10 @@ func main() {
 
 	opts := core.DefaultOptions()
 	opts.Workers = *workers
-	if *pipelineOut != "" {
-		opts.Obs = obs.New()
-	}
 	ev, err := evaluation.RunWith(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if *pipelineOut != "" {
-		rep := obs.BuildPipelineReport(opts.Obs.Reg().Snapshot())
-		cb, err := measureCacheBench(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Cache = cb
-		eb, err := measureEditBench(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-		rep.SingleEdit = eb
-		rb, err := measureRestartBench(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Restart = rb
-		sb, err := measureServeBench(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Serve = sb
-		if *scaleSweep {
-			sw, err := measureScaleBench(*workers)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-				os.Exit(1)
-			}
-			rep.Scale = sw
-		}
-		data, err := rep.MarshalIndent()
-		if err == nil {
-			err = os.WriteFile(*pipelineOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *pipelineOut)
 	}
 	dynamic := map[string]func() string{
 		"table3":   ev.Table3,
@@ -149,293 +70,4 @@ func main() {
 	for _, name := range []string{"table3", "table4", "table5", "table6", "figure3", "figure4", "if", "cost", "ablation", "oracles"} {
 		fmt.Println(dynamic[name]())
 	}
-}
-
-// measureCacheBench runs the full corpus twice against one shared cache
-// and one shared snapshot store (the daemon configuration): cold
-// (populating) and warm (replaying). Wall times are honest measurements;
-// the token and hit/miss rows are deterministic — a warm corpus must
-// cost zero fresh tokens (the contract the service in docs/SERVICE.md is
-// built on).
-func measureCacheBench(workers int) (*obs.CacheBench, error) {
-	ca, err := cache.New(cache.Options{})
-	if err != nil {
-		return nil, err
-	}
-	store := source.NewStore(nil)
-	run := func() (time.Duration, llm.Usage, error) {
-		opts := core.DefaultOptions()
-		opts.Workers = workers
-		opts.Cache = ca
-		opts.Source = store
-		w := core.New(opts)
-		start := time.Now()
-		_, err := w.RunCorpus(corpus.Apps())
-		return time.Since(start), w.LLMUsage(), err
-	}
-	coldWall, coldFresh, err := run()
-	if err != nil {
-		return nil, err
-	}
-	before := ca.Stats()
-	warmWall, warmFresh, err := run()
-	if err != nil {
-		return nil, err
-	}
-	after := ca.Stats()
-	var hits, misses int64
-	for k, v := range after.Hits {
-		hits += v - before.Hits[k]
-	}
-	for k, v := range after.Misses {
-		misses += v - before.Misses[k]
-	}
-	return &obs.CacheBench{
-		ColdWallMS:      float64(coldWall) / float64(time.Millisecond),
-		WarmWallMS:      float64(warmWall) / float64(time.Millisecond),
-		ColdFreshTokens: coldFresh.TokensIn,
-		WarmFreshTokens: warmFresh.TokensIn,
-		WarmHits:        hits,
-		WarmMisses:      misses,
-	}, nil
-}
-
-// measureScaleBench runs the generated-corpus scale sweep: for each
-// scale factor it generates a synthetic corpus (internal/corpusgen,
-// seed 1) into a scratch directory and runs the full pipeline over it
-// twice against a fresh per-scale cache — cold (populating) and warm
-// (replaying). Wall times are honest measurements; app/structure counts
-// and token rows are deterministic for the fixed seed, and the warm run
-// must cost zero fresh tokens at every scale.
-func measureScaleBench(workers int) ([]obs.ScaleBench, error) {
-	var out []obs.ScaleBench
-	for _, scale := range []int{1, 10} {
-		c, err := corpusgen.Generate(corpusgen.Config{Seed: 1, Scale: scale})
-		if err != nil {
-			return nil, err
-		}
-		dir, err := os.MkdirTemp("", "wasabi-scalebench-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		if err := corpusgen.Write(c, dir, workers); err != nil {
-			return nil, err
-		}
-		apps, spec, err := corpusgen.LoadApps(dir)
-		if err != nil {
-			return nil, err
-		}
-		ca, err := cache.New(cache.Options{})
-		if err != nil {
-			return nil, err
-		}
-		store := source.NewStore(nil)
-		run := func() (time.Duration, llm.Usage, error) {
-			opts := core.DefaultOptions()
-			opts.Workers = workers
-			opts.Cache = ca
-			opts.Source = store
-			w := core.New(opts)
-			start := time.Now()
-			_, err := w.RunCorpus(apps)
-			return time.Since(start), w.LLMUsage(), err
-		}
-		coldWall, coldFresh, err := run()
-		if err != nil {
-			return nil, err
-		}
-		warmWall, warmFresh, err := run()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, obs.ScaleBench{
-			Scale:           scale,
-			Apps:            len(apps),
-			Structures:      len(spec.Manifests()),
-			ColdWallMS:      float64(coldWall) / float64(time.Millisecond),
-			WarmWallMS:      float64(warmWall) / float64(time.Millisecond),
-			ColdFreshTokens: coldFresh.TokensIn,
-			WarmFreshTokens: warmFresh.TokensIn,
-		})
-	}
-	return out, nil
-}
-
-// measureServeBench runs the multi-tenant scheduler load benchmark
-// (docs/SCHEDULING.md) against an in-process wasabid: many simulated
-// tenants submit single-app jobs concurrently and the driver waits for
-// all of them, capturing throughput plus the server-side wait/run
-// latency quantiles and the busy-slot high-water mark. Wall-clock
-// numbers are honest measurements; Completed is exact.
-func measureServeBench(workers int) (*obs.ServeBench, error) {
-	observer := obs.New()
-	ca, err := cache.New(cache.Options{Metrics: observer.Reg()})
-	if err != nil {
-		return nil, err
-	}
-	srv := server.New(server.Config{
-		Addr:            "127.0.0.1:0",
-		QueueDepth:      4,
-		SchedulerSlots:  4,
-		PipelineWorkers: workers,
-		Cache:           ca,
-		Obs:             observer,
-	})
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		srv.Shutdown(ctx) //nolint:errcheck // best-effort teardown
-	}()
-	sb, err := server.RunLoad("http://"+srv.Addr(), server.LoadOptions{
-		Tenants: 12,
-		Jobs:    2,
-		Apps:    []string{"HD"},
-	})
-	if err != nil {
-		return nil, err
-	}
-	server.AttachSchedStats(sb, observer.Reg().Snapshot())
-	return sb, nil
-}
-
-// measureRestartBench measures the restart-warm trajectory
-// (docs/PERFORMANCE.md): a cold full-corpus run populates a disk-backed
-// cache, then every in-memory handle — cache, snapshot store, metrics
-// registry — is rebuilt over the same directory (what a process restart
-// leaves behind) and the corpus re-run. Wall times are honest
-// measurements; the warm counters are deterministic — zero parses, zero
-// extractions, zero fresh tokens, one facts hydration per file.
-func measureRestartBench(workers int) (*obs.RestartBench, error) {
-	dir, err := os.MkdirTemp("", "wasabi-restartbench-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	run := func() (time.Duration, llm.Usage, *obs.Observer, *cache.Cache, error) {
-		observer := obs.New()
-		ca, err := cache.New(cache.Options{Dir: dir, Metrics: observer.Reg()})
-		if err != nil {
-			return 0, llm.Usage{}, nil, nil, err
-		}
-		opts := core.DefaultOptions()
-		opts.Workers = workers
-		opts.Cache = ca
-		opts.Source = source.NewStore(observer.Reg())
-		opts.Obs = observer
-		w := core.New(opts)
-		start := time.Now()
-		_, err = w.RunCorpus(corpus.Apps())
-		return time.Since(start), w.LLMUsage(), observer, ca, err
-	}
-	coldWall, _, _, _, err := run()
-	if err != nil {
-		return nil, err
-	}
-	warmWall, warmFresh, observer, ca, err := run()
-	if err != nil {
-		return nil, err
-	}
-	s := observer.Reg().Snapshot()
-	return &obs.RestartBench{
-		ColdWallMS:      float64(coldWall) / float64(time.Millisecond),
-		WarmWallMS:      float64(warmWall) / float64(time.Millisecond),
-		WarmFreshTokens: warmFresh.TokensIn,
-		WarmParses:      s.Counter("source_parse_total"),
-		WarmExtracts:    s.Counter("source_derived_computes_total", "kind", sast.ExtractKind),
-		WarmHydrations:  s.Counter("source_derived_hydrations_total", "kind", sast.ExtractKind),
-		DiskLoads:       ca.Stats().DiskLoads,
-	}, nil
-}
-
-// measureEditBench measures the warm single-file-edit trajectory the
-// daemon lives on (docs/PERFORMANCE.md): one app is copied to a scratch
-// directory, run cold and warm against one store+cache, then one source
-// file is touched and the app re-analyzed. The third run's counter
-// deltas are deterministic — one parse, one extraction, one review miss.
-func measureEditBench(workers int) (*obs.EditBench, error) {
-	app, err := corpus.ByCode("HD")
-	if err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "wasabi-editbench-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	entries, err := os.ReadDir(app.Dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(app.Dir, e.Name()))
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-			return nil, err
-		}
-		if source.IsSourceFile(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("benchreport: app %s has no source files", app.Code)
-	}
-	app.Dir = dir
-
-	observer := obs.New()
-	ca, err := cache.New(cache.Options{Metrics: observer.Reg()})
-	if err != nil {
-		return nil, err
-	}
-	store := source.NewStore(observer.Reg())
-	run := func() (time.Duration, llm.Usage, error) {
-		opts := core.DefaultOptions()
-		opts.Workers = workers
-		opts.Cache = ca
-		opts.Source = store
-		opts.Obs = observer
-		w := core.New(opts)
-		start := time.Now()
-		_, err := w.RunCorpus([]corpus.App{app})
-		return time.Since(start), w.LLMUsage(), err
-	}
-	for i := 0; i < 2; i++ { // cold, then warm
-		if _, _, err := run(); err != nil {
-			return nil, err
-		}
-	}
-
-	touched := filepath.Join(dir, names[0])
-	src, err := os.ReadFile(touched)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(touched, append(src, []byte("\n// touched by benchreport\n")...), 0o644); err != nil {
-		return nil, err
-	}
-
-	before := observer.Reg().Snapshot()
-	missBefore := ca.Stats().Misses[cache.StageReview]
-	wall, fresh, err := run()
-	if err != nil {
-		return nil, err
-	}
-	after := observer.Reg().Snapshot()
-	return &obs.EditBench{
-		WallMS:       float64(wall) / float64(time.Millisecond),
-		FreshTokens:  fresh.TokensIn,
-		Parses:       after.Counter("source_parse_total") - before.Counter("source_parse_total"),
-		Extracts:     after.Counter("source_derived_computes_total", "kind", sast.ExtractKind) - before.Counter("source_derived_computes_total", "kind", sast.ExtractKind),
-		ReviewMisses: ca.Stats().Misses[cache.StageReview] - missBefore,
-	}, nil
 }

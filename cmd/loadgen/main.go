@@ -9,11 +9,12 @@
 //	loadgen -corpus DIR -gen-apps 8 -tenants 50       # generated corpus
 //
 // With -addr empty, loadgen starts an in-process wasabid (flags -slots,
-// -quota, -queue, -workers shape it) so the bench also captures the
+// -quota, -queue, -workers shape it) so the result also captures the
 // server-side scheduler stats (slot high-water mark, wait/run latency
 // quantiles); against a remote daemon those fields read zero and the
-// client-side numbers stand alone. The result is the `serve` section of
-// the BENCH_pipeline.json schema, printed as JSON on stdout.
+// client-side numbers stand alone. The result (server.LoadResult) is
+// printed as JSON on stdout. It is one sample: for repeated, seeded
+// measurements use perfbench's serve-mix workload (perfbench/README.md).
 //
 // -corpus points the in-process daemon at a generated corpus root
 // (cmd/corpusgen, docs/CORPUSGEN.md) instead of the built-in seed
@@ -131,16 +132,16 @@ func main() {
 		}()
 	}
 
-	sb, err := server.RunLoad(base, opt)
+	res, err := server.RunLoad(base, opt)
 	if err != nil {
 		fatal(err)
 	}
 	if observer != nil {
-		server.AttachSchedStats(sb, observer.Reg().Snapshot())
+		server.AttachSchedStats(res, observer.Reg().Snapshot())
 	}
 	sampleTrace(base)
 	sampleBackends(base)
-	data, err := json.MarshalIndent(sb, "", "  ")
+	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		fatal(err)
 	}
@@ -151,7 +152,7 @@ func main() {
 // it reads the trace index and pulls the newest job's span tree,
 // reporting what one job's trace looks like under this load (span count
 // and serialized size). Diagnostics only — printed to stderr, never part
-// of the bench JSON — and best-effort: a pre-tracing daemon just reports
+// of the result JSON — and best-effort: a pre-tracing daemon just reports
 // that traces are unavailable.
 func sampleTrace(base string) {
 	var idx struct {

@@ -18,6 +18,7 @@ import (
 	"wasabi/internal/apps/corpus"
 	"wasabi/internal/cache"
 	"wasabi/internal/core"
+	"wasabi/internal/corpusgen"
 	"wasabi/internal/llm"
 	"wasabi/internal/obs"
 	"wasabi/internal/report"
@@ -190,6 +191,62 @@ func TestWarmRunByteIdenticalZeroSpend(t *testing.T) {
 					editFresh.TokensIn, coldFresh.TokensIn)
 			}
 		})
+	}
+}
+
+// TestGeneratedCorpusWarmReplay extends the warm-replay contract to a
+// synthetic corpus (internal/corpusgen): a warm re-run of the generated
+// apps over one cache and one snapshot store returns the same bytes and
+// spends zero fresh tokens, re-reviewing nothing.
+func TestGeneratedCorpusWarmReplay(t *testing.T) {
+	gen, err := corpusgen.Generate(corpusgen.Config{Seed: 1, Scale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	if err := corpusgen.Write(gen, root, 0); err != nil {
+		t.Fatal(err)
+	}
+	apps, _, err := corpusgen.LoadApps(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := source.NewStore(nil)
+	run := func() ([]byte, obs.Snapshot) {
+		t.Helper()
+		opts := core.DefaultOptions()
+		opts.Cache = ca
+		opts.Source = store
+		opts.Obs = obs.New()
+		cr, err := core.New(opts).RunCorpus(apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := report.Marshal(report.Build(cr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, opts.Obs.Reg().Snapshot()
+	}
+
+	cold, coldSnap := run()
+	if coldSnap.Counter("llm_tokens_in_total") == 0 {
+		t.Fatal("cold run spent nothing; cache cannot have been exercised")
+	}
+	st0 := ca.Stats()
+	warm, warmSnap := run()
+	if !bytes.Equal(cold, warm) {
+		t.Fatalf("warm report differs from cold: cold %d bytes, warm %d bytes", len(cold), len(warm))
+	}
+	if got := warmSnap.Counter("llm_tokens_in_total"); got != 0 {
+		t.Fatalf("warm llm_tokens_in_total = %d, want 0", got)
+	}
+	if d := delta(ca.Stats(), st0); d.Misses[cache.StageReview] != 0 {
+		t.Fatalf("warm review misses = %d, want 0", d.Misses[cache.StageReview])
 	}
 }
 

@@ -143,6 +143,14 @@ func New(opts Options) *Wasabi {
 	return w
 }
 
+// StageMetric is the histogram every stage observes its wall time into
+// (label: stage), and StageTokensMetric the counter LLM token spend is
+// attributed to stages with.
+const (
+	StageMetric       = "core_stage_ms"
+	StageTokensMetric = "core_stage_tokens_total"
+)
+
 // stage opens a stage span (named "stage:app", parented under the app
 // span when one exists) and returns the function that closes it,
 // recording the stage wall-time histogram and run counter. All of it is
@@ -157,7 +165,7 @@ func (w *Wasabi) stage(stage, app string) func() {
 	sp := w.obs.Trc().Start(name, "stage", "app", app, "parent", parent)
 	reg := w.obs.Reg()
 	return func() {
-		reg.Histogram(obs.StageMetric, obs.LatencyBuckets, "stage", stage).Observe(sp.SinceMS())
+		reg.Histogram(StageMetric, obs.LatencyBuckets, "stage", stage).Observe(sp.SinceMS())
 		reg.Counter("core_stage_runs_total", "stage", stage).Inc()
 		sp.End()
 	}
@@ -386,7 +394,7 @@ func (w *Wasabi) identifyLane(app corpus.App, lane int) (*Identification, error)
 			}
 		}
 		reg.Counter("core_app_llm_tokens_total", "app", app.Code).Add(tokens)
-		reg.Counter(obs.StageTokensMetric, "stage", "identify").Add(tokens)
+		reg.Counter(StageTokensMetric, "stage", "identify").Add(tokens)
 	}
 	for i, f := range files {
 		rev := reviews[i]

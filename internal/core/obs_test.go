@@ -60,7 +60,7 @@ func TestObservedRunRecordsEveryLayer(t *testing.T) {
 		if got := snap.Counter("core_stage_runs_total", "stage", stage); got != int64(apps) {
 			t.Errorf("stage %s ran %d times, want %d", stage, got, apps)
 		}
-		if h, ok := snap.HistogramPoint(obs.StageMetric, "stage", stage); !ok || h.Count != int64(apps) {
+		if h, ok := snap.HistogramPoint(StageMetric, "stage", stage); !ok || h.Count != int64(apps) {
 			t.Errorf("stage %s wall-time histogram: ok=%v count=%d, want %d", stage, ok, h.Count, apps)
 		}
 	}
@@ -87,7 +87,7 @@ func TestObservedRunRecordsEveryLayer(t *testing.T) {
 	}
 
 	// Stage token attribution equals the LLM client's own accounting.
-	if stage, llmTotal := snap.Counter(obs.StageTokensMetric, "stage", "identify"), snap.Counter("llm_tokens_in_total"); stage != llmTotal {
+	if stage, llmTotal := snap.Counter(StageTokensMetric, "stage", "identify"), snap.Counter("llm_tokens_in_total"); stage != llmTotal {
 		t.Errorf("identify-stage tokens %d != llm client tokens %d", stage, llmTotal)
 	}
 }

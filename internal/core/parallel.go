@@ -188,16 +188,6 @@ func (c *CorpusRun) DegradedFiles() []DegradedFile {
 	return out
 }
 
-// Identifications returns the per-app identifications in input order (the
-// shape RunIFAnalysis consumes).
-func (c *CorpusRun) Identifications() []*Identification {
-	out := make([]*Identification, len(c.Apps))
-	for i := range c.Apps {
-		out[i] = c.Apps[i].ID
-	}
-	return out
-}
-
 // SortReports orders oracle reports by (app, coordinator, kind, group key,
 // test) — a total order over distinct reports, so the result is the same
 // no matter what order the input arrived in.
@@ -218,16 +208,4 @@ func SortReports(reports []oracle.Report) {
 		}
 		return a.Test < b.Test
 	})
-}
-
-// MergedReports flattens every application's deduplicated dynamic reports
-// into one slice in canonical (app, coordinator, kind) order — the
-// deterministic reducer consumers print or diff.
-func (c *CorpusRun) MergedReports() []oracle.Report {
-	var out []oracle.Report
-	for _, ar := range c.Apps {
-		out = append(out, ar.Dyn.Reports...)
-	}
-	SortReports(out)
-	return out
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"wasabi/internal/apps/corpus"
+	"wasabi/internal/oracle"
 )
 
 func TestParallelForRunsEveryIndexOnce(t *testing.T) {
@@ -90,7 +92,12 @@ func renderCorpusRun(cr *CorpusRun) string {
 		fmt.Fprintf(&b, "if %+v\n", r)
 	}
 	fmt.Fprintf(&b, "total usage %+v\n", cr.Usage)
-	for _, r := range cr.MergedReports() {
+	var merged []oracle.Report
+	for _, ar := range cr.Apps {
+		merged = append(merged, ar.Dyn.Reports...)
+	}
+	SortReports(merged)
+	for _, r := range merged {
 		fmt.Fprintf(&b, "merged %+v\n", r)
 	}
 	return b.String()
@@ -132,16 +139,28 @@ func TestParallelCorpusMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMergedReportsCanonicalOrder checks the reducer's order is total and
-// stable: sorted by (app, coordinator, kind).
+// TestMergedReportsCanonicalOrder checks SortReports' order over the
+// corpus's reports is total and stable: sorted by (app, coordinator,
+// kind, group key, test), whatever order the input arrived in.
 func TestMergedReportsCanonicalOrder(t *testing.T) {
 	cr, err := New(DefaultOptions()).RunCorpus(corpus.Apps())
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := cr.MergedReports()
+	var merged, reversed []oracle.Report
+	for _, ar := range cr.Apps {
+		merged = append(merged, ar.Dyn.Reports...)
+	}
 	if len(merged) == 0 {
 		t.Fatal("no merged reports")
+	}
+	for i := len(merged) - 1; i >= 0; i-- {
+		reversed = append(reversed, merged[i])
+	}
+	SortReports(merged)
+	SortReports(reversed)
+	if !reflect.DeepEqual(merged, reversed) {
+		t.Fatal("SortReports depends on input order")
 	}
 	for i := 1; i < len(merged); i++ {
 		a, b := merged[i-1], merged[i]

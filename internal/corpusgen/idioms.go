@@ -212,12 +212,3 @@ var idiomTable = []idiomInfo{
 // sagaStepVerbs / smStepVerbs name the per-step retried methods.
 var sagaStepVerbs = []string{"stepReserve", "stepCharge", "stepRecord"}
 var smStepVerbs = []string{"stepOpen", "stepReplay", "stepSeal"}
-
-// IdiomNames returns every idiom name in table order (docs tooling).
-func IdiomNames() []string {
-	out := make([]string, 0, len(idiomTable))
-	for _, i := range idiomTable {
-		out = append(out, i.Name)
-	}
-	return out
-}

@@ -198,13 +198,6 @@ func (c *Client) Usage() Usage {
 	}
 }
 
-// ResetUsage zeroes the accounting counters.
-func (c *Client) ResetUsage() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.calls, c.tokensIn = 0, 0
-}
-
 // Finding is one coordinator method the model believes implements retry.
 type Finding struct {
 	// Coordinator is the normalized method name "pkg.Type.method".

@@ -170,9 +170,9 @@ func TestUsageAccounting(t *testing.T) {
 	if u.TokensIn == 0 || u.CostUSD <= 0 {
 		t.Errorf("usage = %+v", u)
 	}
-	c.ResetUsage()
-	if u2 := c.Usage(); u2.Calls != 0 || u2.TokensIn != 0 {
-		t.Errorf("reset failed: %+v", u2)
+	c.ReviewSnapshotAt(hdfsFile(t, "webfs.go"), -1, 1)
+	if u2 := c.Usage(); u2.Calls <= u.Calls || u2.TokensIn <= u.TokensIn {
+		t.Errorf("usage did not accumulate: %+v then %+v", u, u2)
 	}
 }
 

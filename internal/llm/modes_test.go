@@ -180,9 +180,8 @@ func TestTokenAccountingScalesWithFileSize(t *testing.T) {
 	pad := strings.Repeat("// padding line for token accounting\n", 40)
 	c.ReviewSnapshotAt(snapshotFile(t, "a.go", []byte(memHeader+pad)), -1, 0)
 	small := c.Usage().TokensIn
-	c.ResetUsage()
 	c.ReviewSnapshotAt(snapshotFile(t, "b.go", []byte(memHeader+pad+pad+pad)), -1, 0)
-	large := c.Usage().TokensIn
+	large := c.Usage().TokensIn - small
 	if large <= small {
 		t.Errorf("tokens: small=%d large=%d", small, large)
 	}

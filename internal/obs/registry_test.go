@@ -128,25 +128,6 @@ func TestSnapshotDeterministicOrdering(t *testing.T) {
 	}
 }
 
-func TestBuildPipelineReport(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram(StageMetric, LatencyBuckets, "stage", "identify").Observe(10)
-	r.Histogram(StageMetric, LatencyBuckets, "stage", "identify").Observe(30)
-	r.Histogram(StageMetric, LatencyBuckets, "stage", "dynamic").Observe(5)
-	r.Counter(StageTokensMetric, "stage", "identify").Add(1234)
-	rep := BuildPipelineReport(r.Snapshot())
-	if rep.Schema != PipelineReportSchema {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	id := rep.Stages["identify"]
-	if id.WallMS != 40 || id.Count != 2 || id.Tokens != 1234 {
-		t.Fatalf("identify stats = %+v", id)
-	}
-	if dyn := rep.Stages["dynamic"]; dyn.Count != 1 || dyn.Tokens != 0 {
-		t.Fatalf("dynamic stats = %+v", dyn)
-	}
-}
-
 // TestHistogramQuantile pins the bucket-interpolation estimator the
 // scheduler summaries are derived from.
 func TestHistogramQuantile(t *testing.T) {
@@ -262,42 +243,6 @@ func TestSnapshotAddGauge(t *testing.T) {
 	}
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
 		t.Fatal("exposition of an augmented snapshot is not deterministic")
-	}
-}
-
-// TestRemoveCounterReturnsFinalValue: retiring a counter hands back its
-// final value so the caller can fold it into a surviving aggregate —
-// the eviction contract the scheduler's _retired tenant relies on.
-func TestRemoveCounterReturnsFinalValue(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("server_sched_jobs_total", "tenant", "acme").Add(5)
-	r.Counter("server_sched_jobs_total", "tenant", "other").Add(2)
-	if v := r.RemoveCounter("server_sched_jobs_total", "tenant", "acme"); v != 5 {
-		t.Fatalf("RemoveCounter = %d, want 5", v)
-	}
-	snap := r.Snapshot()
-	if len(snap.Counters) != 1 || snap.Counters[0].Labels[0].Value != "other" {
-		t.Fatalf("counters after removal = %+v, want only tenant=other", snap.Counters)
-	}
-	// Fold into a survivor: family sum is conserved.
-	r.Counter("server_sched_jobs_total", "tenant", "_retired").Add(5)
-	sum := int64(0)
-	for _, c := range r.Snapshot().Counters {
-		sum += c.Value
-	}
-	if sum != 7 {
-		t.Fatalf("family sum after fold = %d, want 7", sum)
-	}
-	// Absent identity and nil registry report 0.
-	if v := r.RemoveCounter("never_registered"); v != 0 {
-		t.Fatalf("absent RemoveCounter = %d, want 0", v)
-	}
-	if v := (*Registry)(nil).RemoveCounter("x"); v != 0 {
-		t.Fatalf("nil RemoveCounter = %d, want 0", v)
-	}
-	// A re-created counter is a fresh instrument.
-	if v := r.Counter("server_sched_jobs_total", "tenant", "acme").Value(); v != 0 {
-		t.Fatalf("re-created counter = %d, want 0", v)
 	}
 }
 

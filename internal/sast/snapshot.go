@@ -17,7 +17,7 @@ import (
 	"wasabi/internal/source"
 )
 
-// ExtractKind is the File.Memo key of the per-file extraction artifact
+// ExtractKind is the File.MemoThrough key of the per-file extraction artifact
 // (the source_derived_*_total{kind=...} metrics label).
 const ExtractKind = "sast-extract"
 

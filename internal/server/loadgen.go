@@ -1,10 +1,9 @@
 // loadgen.go is the scheduler's load driver: many simulated tenants
 // hammering POST /v1/analyze over real HTTP, each riding the documented
 // backpressure contract (429 → honor Retry-After → resubmit) until every
-// job completes. cmd/loadgen wraps it as a CLI and cmd/benchreport
-// embeds it to measure the BENCH_pipeline.json serve section against an
-// in-process daemon (§4.3's cost accounting, extended to service
-// throughput).
+// job completes. cmd/loadgen wraps it as a CLI (§4.3's cost accounting,
+// extended to service throughput); the repository benchmark of record
+// is perfbench (perfbench/README.md).
 package server
 
 import (
@@ -36,13 +35,38 @@ type LoadOptions struct {
 	Timeout time.Duration
 }
 
+// LoadResult is one load run: Tenants simulated tenants each submit
+// Jobs jobs against a wasabid instance running Slots worker slots, and
+// the driver waits for every job to complete. Wall time, throughput and
+// the latency quantiles are honest measurements (they vary run to run);
+// Completed and Rejections are exact client-side counts. The quantiles
+// come from the server's own server_sched_job_wait_ms /
+// server_sched_job_run_ms histograms and are zero when the driver
+// targets a remote daemon whose registry it cannot read.
+type LoadResult struct {
+	Tenants    int     `json:"tenants"`
+	Jobs       int     `json:"jobs_per_tenant"`
+	Slots      int     `json:"slots"`
+	Completed  int64   `json:"completed"`
+	Rejections int64   `json:"rejections_429"`
+	WallMS     float64 `json:"wall_ms"`
+	JobsPerSec float64 `json:"jobs_per_sec"`
+	WaitP50MS  float64 `json:"wait_p50_ms"`
+	WaitP99MS  float64 `json:"wait_p99_ms"`
+	RunP50MS   float64 `json:"run_p50_ms"`
+	RunP99MS   float64 `json:"run_p99_ms"`
+	// MaxBusySlots is the high-water mark of concurrently busy slots
+	// (server_sched_slots_busy_max) — proof the load actually overlapped.
+	MaxBusySlots float64 `json:"max_busy_slots"`
+}
+
 // RunLoad drives base (a wasabid address, "http://host:port") with
 // Tenants×Jobs analysis jobs and waits for all of them to complete.
 // Submissions that hit per-tenant backpressure honor Retry-After and
-// resubmit; the returned bench counts them in Rejections. The Slots,
+// resubmit; the returned result counts them in Rejections. The Slots,
 // latency-quantile and busy-slot fields are left zero — when the
 // caller owns the server's registry, AttachSchedStats fills them.
-func RunLoad(base string, opt LoadOptions) (*obs.ServeBench, error) {
+func RunLoad(base string, opt LoadOptions) (*LoadResult, error) {
 	if opt.Tenants <= 0 {
 		opt.Tenants = 8
 	}
@@ -110,7 +134,7 @@ func RunLoad(base string, opt LoadOptions) (*obs.ServeBench, error) {
 	}
 
 	completed := int64(opt.Tenants) * int64(opt.Jobs)
-	return &obs.ServeBench{
+	return &LoadResult{
 		Tenants:    opt.Tenants,
 		Jobs:       opt.Jobs,
 		Completed:  completed,
@@ -120,10 +144,10 @@ func RunLoad(base string, opt LoadOptions) (*obs.ServeBench, error) {
 	}, nil
 }
 
-// AttachSchedStats fills the bench fields only the server side knows —
+// AttachSchedStats fills the result fields only the server side knows —
 // slot count, busy high-water mark, and the wait/run latency quantiles —
 // from the server's own registry snapshot.
-func AttachSchedStats(sb *obs.ServeBench, snap obs.Snapshot) {
+func AttachSchedStats(sb *LoadResult, snap obs.Snapshot) {
 	for _, g := range snap.Gauges {
 		switch g.Name {
 		case "server_sched_slots":

@@ -20,7 +20,7 @@
 // Consumers receive a Snapshot: the directory's source files in sorted
 // order, fully loaded. Files are immutable once interned; derived
 // per-file artifacts (e.g. internal/sast's method extraction) piggyback
-// on the same content addressing through File.Memo / File.MemoThrough,
+// on the same content addressing through File.MemoThrough,
 // which is what makes the static tier file-granular and incremental.
 //
 // Retention is bounded per path: the store keeps the latest
@@ -120,22 +120,17 @@ func (f *File) Syntax() (*ast.File, error) {
 	return f.syntax, f.parseErr
 }
 
-// Memo returns the derived artifact registered under kind, computing it
-// with compute at most once per file version. This is the hook the
+// MemoThrough returns the derived artifact registered under kind,
+// computing it at most once per file version. This is the hook the
 // file-granular static tier hangs off: extraction results keyed by
 // content survive across runs in a long-lived store, so a warm daemon
-// recomputes them only for files that changed. compute must be a pure
-// function of the file and must not call Memo on the same file.
-func (f *File) Memo(kind string, compute func() any) any {
-	return f.MemoThrough(kind, nil, compute)
-}
-
-// MemoThrough is Memo with an optional second chance before computing:
-// when the in-memory memo misses, load may supply the artifact from an
+// recomputes them only for files that changed. When the in-memory memo
+// misses, an optional load may first supply the artifact from an
 // external tier (the disk facts cache) — counted in
 // source_derived_hydrations_total — and only if both miss does compute
-// run (source_derived_computes_total). load and compute run under the
-// file's memo lock and must not call back into the same file's memo.
+// run (source_derived_computes_total). compute must be a pure function
+// of the file; load and compute run under the file's memo lock and must
+// not call back into the same file's memo.
 func (f *File) MemoThrough(kind string, load func() (any, bool), compute func() any) any {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -3,7 +3,7 @@ package source_test
 // source_test pins the store's contract: each (path, content) version is
 // parsed at most once — lazily, on the first Syntax call — no matter how
 // many loads or lanes touch it, edits invalidate exactly the edited
-// file, derived artifacts registered through File.Memo / MemoThrough are
+// file, derived artifacts registered through File.MemoThrough are
 // computed at most once per file version, and per-path retention is
 // bounded to the latest K generations. The counters asserted here are
 // the same ones docs/OBSERVABILITY.md documents and the incremental
@@ -206,10 +206,10 @@ func TestMemoComputesOncePerVersion(t *testing.T) {
 	f := snap.Files[0]
 	calls := 0
 	compute := func() any { calls++; return calls }
-	if v := f.Memo("facts", compute); v.(int) != 1 {
+	if v := f.MemoThrough("facts", nil, compute); v.(int) != 1 {
 		t.Fatalf("first Memo = %v, want 1", v)
 	}
-	if v := f.Memo("facts", compute); v.(int) != 1 {
+	if v := f.MemoThrough("facts", nil, compute); v.(int) != 1 {
 		t.Fatalf("second Memo = %v, want cached 1", v)
 	}
 	if calls != 1 {
@@ -373,7 +373,7 @@ func TestEvictedGenerationRecomputes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snap.Files[0].Memo("kind", func() any { computes++; return body })
+		return snap.Files[0].MemoThrough("kind", nil, func() any { computes++; return body })
 	}
 	for _, v := range versions {
 		if got := loadAndMemo(v); got != v {

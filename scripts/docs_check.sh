@@ -46,6 +46,11 @@
 #  13. Every -llm-* flag named in README.md or docs/*.md is defined by a
 #      flag.* call in cmd/wasabi or cmd/wasabid — a removed flag must
 #      leave the docs too.
+#  14. Every -flag in a README.md or docs/*.md mention of a binary
+#      ("go run ./cmd/<bin> -flag ..." or "cmd/<bin> -flag ...", <bin>
+#      a directory under cmd/) is defined by a flag.* call in
+#      cmd/<bin> — a mention ends at a backtick or a shell operator, and
+#      every -word token up to there counts as a flag of <bin>.
 #
 # Exits non-zero listing every violation; run via `make docs-check`.
 set -u
@@ -184,6 +189,22 @@ for flag in $(grep -hoE '(^|[^A-Za-z0-9_-])-llm-[a-z-]*[a-z]' README.md docs/*.m
 	echo "$defined" | grep -qx -- "$flag" ||
 		err "flag -$flag is named in README.md or docs/*.md but not defined in cmd/wasabi or cmd/wasabid"
 done
+
+# 14. Every flag shown on a binary's command line must be defined by it.
+flag_drift=$(grep -hoE '(go run \./cmd/|cmd/)[a-z0-9_-]+( [^`|;&<>()]*)?' README.md docs/*.md |
+	sed -e 's#^go run \./cmd/##' -e 's#^cmd/##' | sort -u |
+	while read -r bin rest; do
+		[ -d "cmd/$bin" ] || continue
+		echo "$rest" | tr ' \t' '\n\n' | grep -oE '^--?[a-z][a-z0-9-]*' | sed 's/^--*//' |
+			while read -r name; do
+				grep -qE "flag\.[A-Za-z0-9]+\((&[A-Za-z0-9_.]+, *)?\"$name\"" cmd/"$bin"/*.go ||
+					echo "flag -$name is named after cmd/$bin in README.md or docs/*.md but not defined in cmd/$bin"
+			done
+	done | sort -u)
+if [ -n "$flag_drift" ]; then
+	echo "$flag_drift" | sed 's/^/docs-check: /' >&2
+	fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
 	echo "docs-check: FAILED" >&2
